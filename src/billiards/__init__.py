@@ -13,21 +13,21 @@ __version__ = "0.1.0"
 
 from .billmap import (BoundaryCoord, LineCoord, SDerivatives, boundary_point,
                       chart_to_line, forward_map, generating_S,
-                      geometric_reflect, inverse_map, jacobian_check,
+                      geometric_reflect, inverse_map, jacobian_check_batch,
                       line_to_chart, p_of, s_derivatives)
-from .beam import (BeamState, TangentVector, conjugate_scan, detect_conjugate,
-                   monotone_bounds, push_tangent, riccati_step)
+from .beam import (BeamState, TangentVector, conjugate_scan, monotone_bounds,
+                   push_tangent, riccati_step)
 from .errors import (AliasingWarning, BilliardError, CurvatureViolation,
                      GrazingRay, MonotonicityBreak, NoRealCaustic,
-                     OutsideCylinder, SolverError)
+                     OutsideCylinder, SolverError, SpecError)
 from .fourperiodic import (AngleProfile, EllipseProfile, PonceletQuad,
-                           ellipse_profile, profile_eval, table_profile,
+                           ellipse_profile, table_profile,
                            validate_profile, verify_d_h_relations,
                            verify_orthoptic, verify_parallelogram,
                            verify_rectangle)
 from .supportfn import (EllipseTable, FourierTable, Jet2, ProfileTable,
                         SupportSpec, arclength_of_psi, ellipse_support,
-                        eval_jet, is_centrally_symmetric, load_table,
+                        is_centrally_symmetric, load_table,
                         perimeter, table_from_dict, table_from_profile,
                         table_to_dict, validate_table)
 from .wirtinger import (HopfDefect, IntegralReport, MuFunction,

@@ -10,20 +10,19 @@ nu1 is the dphi-stretch factor of the pushed direction; it hitting zero
 means the evolved line crossed vertical, i.e. a conjugate event.  For
 tables that are not totally integrable no invariant monotone bundle exists,
 so iterating from an arbitrary in-bounds seed is a numerical probe of that
-breakdown, not an invariant object; detect_conjugate reports the first
+breakdown, not an invariant object; conjugate_scan reports the first
 verticality crossing of a pushed vertical vector instead, which needs no
 bundle at all.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
-
-import numpy as np
+from typing import NamedTuple
 
 from .billmap import (LineCoord, SDerivatives, forward_map,
                       forward_map_batch, s_derivatives)
 from .errors import MonotonicityBreak
+from .profiles import _xp
 from .supportfn import SupportSpec
 
 
@@ -74,61 +73,38 @@ def monotone_bounds(spec: SupportSpec, prev: LineCoord, cur: LineCoord,
     return lower, upper
 
 
-def detect_conjugate(spec: SupportSpec, start: LineCoord,
-                     max_steps: int) -> Optional[int]:
+def conjugate_scan(spec: SupportSpec, p0, phi0, max_steps: int):
     """First step at which a pushed vertical vector crosses vertical again.
 
-    Pushes (dp, dphi) = (1, 0) along the orbit of `start`; a sign change of
-    the dphi-component between consecutive steps flags the crossing (exact
-    zeros are measure-zero numerically).  Returns the step index or None.
-    The vector is renormalized to unit sup-norm each step; omega-type
-    slopes are scale-invariant so this only prevents overflow.
+    Pushes (dp, dphi) = (1, 0) along the orbit of each start line; a sign
+    change of the dphi-component between consecutive steps flags the
+    crossing (exact zeros are measure-zero numerically).  The vector is
+    renormalized to unit sup-norm each step; omega-type slopes are
+    scale-invariant so this only prevents overflow.
+
+    One start as floats gives an int, many as arrays give an int array:
+    the crossing step per start, -1 when none within max_steps.
     """
-    line = start
-    dp, dphi = 1.0, 0.0
-    prev_sign = 0.0
-    for step in range(1, max_steps + 1):
-        image = forward_map(spec, line)
-        sd = s_derivatives(spec, line.phi, image.phi)
-        dphi1 = (-dp - sd.s11 * dphi) / sd.s12
-        dp1 = sd.s12 * dphi + sd.s22 * dphi1
-        norm = max(abs(dp1), abs(dphi1))
-        dp, dphi = dp1 / norm, dphi1 / norm
-        line = image
-        sign = 0.0 if dphi == 0.0 else (1.0 if dphi > 0.0 else -1.0)
-        if step >= 2 and (sign == 0.0 or sign * prev_sign < 0.0):
-            return step
-        prev_sign = sign
-    return None
-
-
-def conjugate_scan(spec: SupportSpec, p0, phi0, max_steps: int) -> np.ndarray:
-    """Vectorized detect_conjugate over many start lines.
-
-    Returns an int array: first crossing step per start, -1 when none
-    within max_steps.
-    """
-    p = np.array(p0, dtype=float, copy=True)
-    phi = np.array(phi0, dtype=float, copy=True)
-    n = p.shape[0]
-    dp = np.ones(n)
-    dphi = np.zeros(n)
-    prev_sign = np.zeros(n)
-    detected = np.full(n, -1, dtype=int)
+    xp = _xp(phi0)
+    p, phi = p0, phi0
+    dp = 1.0 + 0.0 * p
+    dphi = 0.0 * p
+    prev_sign = dphi
+    detected = xp.where(dp > 0.0, -1, -1)   # one int -1 per start
     for step in range(1, max_steps + 1):
         p1, phi1 = forward_map_batch(spec, p, phi)
         sd = s_derivatives(spec, phi, phi1)
         dphi_next = (-dp - sd.s11 * dphi) / sd.s12
         dp_next = sd.s12 * dphi + sd.s22 * dphi_next
-        norm = np.maximum(np.abs(dp_next), np.abs(dphi_next))
+        norm = xp.maximum(xp.abs(dp_next), xp.abs(dphi_next))
         dp = dp_next / norm
         dphi = dphi_next / norm
         p, phi = p1, phi1
-        sign = np.sign(dphi)
+        sign = xp.sign(dphi)
         if step >= 2:
             crossing = (detected < 0) & ((sign == 0.0) | (sign * prev_sign < 0.0))
-            detected[crossing] = step
-            if np.all(detected >= 0):
+            detected = xp.where(crossing, step, detected)
+            if xp.all(detected >= 0):
                 break
         prev_sign = sign
     return detected

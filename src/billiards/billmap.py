@@ -30,12 +30,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GrazingRay, OutsideCylinder, SolverError
-from .profiles import _reduce
-from .supportfn import SupportSpec, eval_jet
+from .profiles import _reduce, _xp
+from .supportfn import SupportSpec
 
 DELTA_MIN = 1e-9           # below this the chord solver degenerates
 BISECT_WIDTH = 1e-8        # bracketing stage target width
 RESIDUAL_TOL = 1e-12       # Newton polish target, relative to (1 + scale)
+NEWTON_STEPS = 4           # Newton polish steps after bisection, at most
 
 
 class LineCoord(NamedTuple):
@@ -54,28 +55,20 @@ class SDerivatives(NamedTuple):
     s22: float
 
 
-def _xp2(x, y):
-    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
-        return np
-    return math
-
-
 def _check_separation(phi, phi1):
     delta = 0.5 * (phi1 - phi)
-    lo = np.min(delta) if isinstance(delta, np.ndarray) else delta
-    hi = np.max(delta) if isinstance(delta, np.ndarray) else delta
-    if not (0.0 < lo and hi < math.pi):
+    xp = _xp(delta)
+    if not (0.0 < xp.min(delta) and xp.max(delta) < math.pi):
         raise ValueError(f"angular separation (phi1-phi)/2 = {delta} "
                          "outside (0, pi)")
-    return delta
+    return delta, xp
 
 
 def generating_S(spec: SupportSpec, phi, phi1):
     """S(phi, phi1) = 2 h((phi+phi1)/2) sin((phi1-phi)/2)."""
-    xp = _xp2(phi, phi1)
-    delta = _check_separation(phi, phi1)
+    delta, xp = _check_separation(phi, phi1)
     psi = 0.5 * (phi + phi1)
-    return 2.0 * eval_jet(spec, psi).h * xp.sin(delta)
+    return 2.0 * spec.jet(psi).h * xp.sin(delta)
 
 
 def s_derivatives(spec: SupportSpec, phi, phi1) -> SDerivatives:
@@ -85,10 +78,9 @@ def s_derivatives(spec: SupportSpec, phi, phi1) -> SDerivatives:
     S22 = (h''-h)/2 sin delta + h' cos delta
     S12 = (h''+h)/2 sin delta = rho/2 sin delta > 0   (twist)
     """
-    xp = _xp2(phi, phi1)
-    delta = _check_separation(phi, phi1)
+    delta, xp = _check_separation(phi, phi1)
     psi = 0.5 * (phi + phi1)
-    h, dh, ddh = eval_jet(spec, psi)
+    h, dh, ddh = spec.jet(psi)
     s = xp.sin(delta)
     c = xp.cos(delta)
     half_diff = 0.5 * (ddh - h) * s
@@ -99,10 +91,9 @@ def s_derivatives(spec: SupportSpec, phi, phi1) -> SDerivatives:
 
 def p_of(spec: SupportSpec, phi, phi1):
     """Momenta (p, p1) of the incoming/outgoing lines of the bounce."""
-    xp = _xp2(phi, phi1)
-    delta = _check_separation(phi, phi1)
+    delta, xp = _check_separation(phi, phi1)
     psi = 0.5 * (phi + phi1)
-    h, dh, _ = eval_jet(spec, psi)
+    h, dh, _ = spec.jet(psi)
     base = h * xp.cos(delta)
     swing = dh * xp.sin(delta)
     return base - swing, base + swing
@@ -110,8 +101,8 @@ def p_of(spec: SupportSpec, phi, phi1):
 
 def boundary_point(spec: SupportSpec, psi):
     """gamma(psi) = h n + h' t with n = (cos, sin), t = (-sin, cos)."""
-    xp = _xp2(psi, psi)
-    h, dh, _ = eval_jet(spec, psi)
+    xp = _xp(psi)
+    h, dh, _ = spec.jet(psi)
     psi = _reduce(psi)
     c = xp.cos(psi)
     s = xp.sin(psi)
@@ -120,7 +111,7 @@ def boundary_point(spec: SupportSpec, psi):
 
 def inside_cylinder(spec: SupportSpec, line: LineCoord) -> bool:
     p, phi = line
-    return -eval_jet(spec, phi + math.pi).h < p < eval_jet(spec, phi).h
+    return -spec.jet(phi + math.pi).h < p < spec.jet(phi).h
 
 
 def half_turn(line: LineCoord) -> LineCoord:
@@ -132,7 +123,9 @@ def half_turn(line: LineCoord) -> LineCoord:
 #
 # Both implicit equations below are strictly monotone in the unknown thanks
 # to the twist condition, so a bracket is globally safe; bisection narrows
-# to BISECT_WIDTH and Newton supplies the last digits.
+# to BISECT_WIDTH and Newton supplies the last digits.  One solver serves
+# floats and arrays (entrywise), so a float solve is bit for bit one entry
+# of the array solve.
 
 
 _EPS = float(np.finfo(float).eps)
@@ -145,134 +138,100 @@ def _granularity(x, slope):
 
 
 def _solve_increasing(f, df, lo, hi, scale):
+    """Root of f, increasing on [lo, hi]: bisection to BISECT_WIDTH, then
+    at most NEWTON_STEPS Newton steps clipped to the bracket, then the
+    residual must sit within RESIDUAL_TOL (1 + scale) plus the floor."""
+    xp = _xp(lo)
     flo = f(lo)
     fhi = f(hi)
-    if not (flo < 0.0 < fhi):
-        raise SolverError(
-            f"no sign change on bracket: f({lo:.6g})={flo:.3g}, "
-            f"f({hi:.6g})={fhi:.3g}")
-    while hi - lo > BISECT_WIDTH:
+    if not (xp.all(flo < 0.0) and xp.all(fhi > 0.0)):
+        raise SolverError(f"no sign change on bracket: f(lo) up to "
+                          f"{xp.max(flo):.3g}, f(hi) down to {xp.min(fhi):.3g}")
+    width = xp.max(hi - lo)
+    for _ in range(math.ceil(math.log2(width / BISECT_WIDTH))):
         mid = 0.5 * (lo + hi)
-        if f(mid) < 0.0:
+        neg = f(mid) < 0.0
+        if xp is np:
+            lo = np.where(neg, mid, lo)
+            hi = np.where(neg, hi, mid)
+        elif neg:
             lo = mid
         else:
             hi = mid
-    tol = RESIDUAL_TOL * (1.0 + scale)
+    # a Newton step that moves no entry is a fixed point: every further
+    # step would repeat it, so stopping there changes no result
     x = 0.5 * (lo + hi)
-    best_x, best_f = x, math.inf
-    for _ in range(8):
+    for _ in range(NEWTON_STEPS):
         fx = f(x)
-        if abs(fx) < best_f:
-            best_x, best_f = x, abs(fx)
-        if abs(fx) <= 0.01 * tol:
-            break
-        # keep the bracket tight so clamped steps still make progress
-        if fx < 0.0:
-            lo = x
-        else:
-            hi = x
-        x_new = x - fx / df(x)
-        if not (lo <= x_new <= hi):
-            x_new = min(max(x_new, lo), hi)
-        if x_new == x:
+        slope = df(x)
+        x_new = xp.clip(x - fx / slope, lo, hi)
+        if xp.all(x_new == x):
             break
         x = x_new
-    if best_f > tol + _granularity(best_x, df(best_x)):
-        raise SolverError(f"Newton polish stalled, residual {best_f:.3g}")
-    return best_x
-
-
-def _solve_increasing_batch(f, df, lo, hi, scale, n_bisect=30, n_newton=4):
-    flo = f(lo)
-    fhi = f(hi)
-    if not (np.all(flo < 0.0) and np.all(fhi > 0.0)):
-        raise SolverError("no sign change on bracket (batch)")
-    for _ in range(n_bisect):
-        mid = 0.5 * (lo + hi)
-        neg = f(mid) < 0.0
-        lo = np.where(neg, mid, lo)
-        hi = np.where(neg, hi, mid)
-    x = 0.5 * (lo + hi)
-    for _ in range(n_newton):
-        x = x - f(x) / df(x)
-        x = np.clip(x, lo, hi)
-    slope = df(x)
-    tol = RESIDUAL_TOL * (1.0 + scale)
-    floor = tol + 32.0 * _EPS * (1.0 + np.abs(x)) * np.abs(slope)
-    bad = np.abs(f(x)) > floor
-    if np.any(bad):
-        raise SolverError(f"batch Newton polish stalled on {int(np.sum(bad))} "
-                          "entries")
+    else:
+        fx = f(x)
+        slope = df(x)
+    bad = abs(fx) > RESIDUAL_TOL * (1.0 + scale) + _granularity(x, slope)
+    if xp.any(bad):
+        raise SolverError(f"Newton polish stalled, residual {xp.max(abs(fx)):.3g}")
     return x
 
 
 # --- the map in line coordinates -------------------------------------------
 
 
-def forward_map(spec: SupportSpec, line: LineCoord) -> LineCoord:
-    """Image of an oriented line under reflection at its exit point.
-
-    Solves p = h(psi) cos delta - h'(psi) sin delta for the unique
-    phi1 in (phi, phi + 2pi); the right side is strictly decreasing in
-    phi1 (its derivative is -S12 < 0).
-    """
-    p, phi = float(line.p), float(line.phi)
+def _check_inside(spec: SupportSpec, p: float, phi: float) -> None:
     if not inside_cylinder(spec, LineCoord(p, phi)):
         raise OutsideCylinder(f"line (p={p:.6g}, phi={phi:.6g}) misses the table")
 
+
+def forward_map(spec: SupportSpec, line: LineCoord) -> LineCoord:
+    """Image of an oriented line under reflection at its exit point."""
+    p, phi = float(line.p), float(line.phi)
+    _check_inside(spec, p, phi)
+    return LineCoord(*forward_map_batch(spec, p, phi))
+
+
+def forward_map_batch(spec: SupportSpec, p, phi):
+    """forward_map on floats or entrywise on arrays of one shape; returns
+    (p1, phi1).
+
+    Solves p = h(psi) cos delta - h'(psi) sin delta for the unique
+    phi1 in (phi, phi + 2pi); the right side is strictly decreasing in
+    phi1 (its derivative is -S12 < 0).  The cylinder is not checked.
+    """
+    xp = _xp(phi)
+
     def residual(phi1):
         delta = 0.5 * (phi1 - phi)
-        h, dh, _ = eval_jet(spec, 0.5 * (phi + phi1))
-        return p - (h * math.cos(delta) - dh * math.sin(delta))
+        h, dh, _ = spec.jet(0.5 * (phi + phi1))
+        return p - (h * xp.cos(delta) - dh * xp.sin(delta))
 
     def slope(phi1):
-        return s_derivatives(spec, phi, phi1).s12
+        delta = 0.5 * (phi1 - phi)
+        h, _, ddh = spec.jet(0.5 * (phi + phi1))
+        return 0.5 * (ddh + h) * xp.sin(delta)
 
     # the bracket holds the delta floor off both cylinder ends; a missing
     # sign change therefore signals an invalid table (or a grazing corner
     # thinner than the floor) and surfaces as SolverError
     lo = phi + 2.0 * DELTA_MIN
     hi = phi + 2.0 * math.pi - 2.0 * DELTA_MIN
-    phi1 = _solve_increasing(residual, slope, lo, hi, abs(p))
+    phi1 = _solve_increasing(residual, slope, lo, hi, xp.max(xp.abs(p)))
     delta = 0.5 * (phi1 - phi)
-    h, dh, _ = eval_jet(spec, 0.5 * (phi + phi1))
-    return LineCoord(h * math.cos(delta) + dh * math.sin(delta), phi1)
-
-
-def forward_map_batch(spec: SupportSpec, p, phi):
-    """Vectorized forward_map on arrays; returns (p1, phi1)."""
-    p = np.asarray(p, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-
-    def residual(phi1):
-        delta = 0.5 * (phi1 - phi)
-        h, dh, _ = eval_jet(spec, 0.5 * (phi + phi1))
-        return p - (h * np.cos(delta) - dh * np.sin(delta))
-
-    def slope(phi1):
-        delta = 0.5 * (phi1 - phi)
-        h, _, ddh = eval_jet(spec, 0.5 * (phi + phi1))
-        return 0.5 * (ddh + h) * np.sin(delta)
-
-    lo = phi + 2.0 * DELTA_MIN
-    hi = phi + 2.0 * math.pi - 2.0 * DELTA_MIN
-    phi1 = _solve_increasing_batch(residual, slope, lo, hi,
-                                   float(np.max(np.abs(p))))
-    delta = 0.5 * (phi1 - phi)
-    h, dh, _ = eval_jet(spec, 0.5 * (phi + phi1))
-    return h * np.cos(delta) + dh * np.sin(delta), phi1
+    h, dh, _ = spec.jet(0.5 * (phi + phi1))
+    return h * xp.cos(delta) + dh * xp.sin(delta), phi1
 
 
 def inverse_map(spec: SupportSpec, line: LineCoord) -> LineCoord:
     """Pre-image of an oriented line: solves p1 = S2(phi0, phi1) for phi0."""
     p1, phi1 = float(line.p), float(line.phi)
-    if not inside_cylinder(spec, LineCoord(p1, phi1)):
-        raise OutsideCylinder(f"line (p={p1:.6g}, phi={phi1:.6g}) misses the table")
+    _check_inside(spec, p1, phi1)
 
     def residual(phi0):
         # outgoing momentum at the bounce (phi0, phi1), increasing in phi0
         delta = 0.5 * (phi1 - phi0)
-        h, dh, _ = eval_jet(spec, 0.5 * (phi0 + phi1))
+        h, dh, _ = spec.jet(0.5 * (phi0 + phi1))
         return (h * math.cos(delta) + dh * math.sin(delta)) - p1
 
     def slope(phi0):
@@ -282,7 +241,7 @@ def inverse_map(spec: SupportSpec, line: LineCoord) -> LineCoord:
     hi = phi1 - 2.0 * DELTA_MIN
     phi0 = _solve_increasing(residual, slope, lo, hi, abs(p1))
     delta = 0.5 * (phi1 - phi0)
-    h, dh, _ = eval_jet(spec, 0.5 * (phi0 + phi1))
+    h, dh, _ = spec.jet(0.5 * (phi0 + phi1))
     return LineCoord(h * math.cos(delta) - dh * math.sin(delta), phi0)
 
 
@@ -293,7 +252,7 @@ def chart_to_line(spec: SupportSpec, bc: BoundaryCoord) -> LineCoord:
     """Line outgoing from gamma(psi) at angle delta: p = h cos + h' sin,
     phi = psi + delta."""
     psi, delta = float(bc.psi), float(bc.delta)
-    h, dh, _ = eval_jet(spec, psi)
+    h, dh, _ = spec.jet(psi)
     return LineCoord(h * math.cos(delta) + dh * math.sin(delta), psi + delta)
 
 
@@ -302,16 +261,14 @@ def line_to_chart(spec: SupportSpec, line: LineCoord) -> BoundaryCoord:
     delta in (0, pi); the residual is strictly decreasing (slope
     -rho sin delta)."""
     p, phi = float(line.p), float(line.phi)
-    if not inside_cylinder(spec, LineCoord(p, phi)):
-        raise OutsideCylinder(f"line (p={p:.6g}, phi={phi:.6g}) misses the table")
+    _check_inside(spec, p, phi)
 
     def residual(delta):
-        h, dh, _ = eval_jet(spec, phi - delta)
+        h, dh, _ = spec.jet(phi - delta)
         return p - (h * math.cos(delta) + dh * math.sin(delta))
 
     def slope(delta):
-        jet = eval_jet(spec, phi - delta)
-        return jet.rho * math.sin(delta)
+        return spec.jet(phi - delta).rho * math.sin(delta)
 
     delta = _solve_increasing(residual, slope, DELTA_MIN, math.pi - DELTA_MIN,
                               abs(p))
@@ -321,18 +278,19 @@ def line_to_chart(spec: SupportSpec, line: LineCoord) -> BoundaryCoord:
 # --- geometric oracle --------------------------------------------------------
 
 
-def geometric_reflect(spec: SupportSpec, start_psi: float,
-                      delta: float) -> BoundaryCoord:
-    """Next bounce by raw geometry: shoot the chord from gamma(psi) at angle
-    delta to the tangent, intersect it with the curve, reflect with equal
-    angles.  Independent of the momentum relations."""
-    psi, delta = float(start_psi), float(delta)
-    if not (DELTA_MIN <= delta <= math.pi - DELTA_MIN):
-        raise GrazingRay(f"delta = {delta:.3g} outside [{DELTA_MIN}, pi - {DELTA_MIN}]")
-    x0, y0 = boundary_point(spec, psi)
-    angle = psi + delta
-    ex = -math.sin(_reduce(angle))
-    ey = math.cos(_reduce(angle))
+def geometric_reflect(spec: SupportSpec, start_psi, delta) -> BoundaryCoord:
+    """Next bounce by raw geometry, on floats or entrywise on arrays: shoot
+    the chord from gamma(psi) at angle delta to the tangent, intersect it
+    with the curve, reflect with equal angles.  Independent of the
+    momentum relations.  Raises GrazingRay when an incidence angle, given
+    or computed, leaves the floor (NaN included)."""
+    angle = start_psi + delta
+    xp = _xp(angle)
+    if not xp.all((delta >= DELTA_MIN) & (delta <= math.pi - DELTA_MIN)):
+        raise GrazingRay(f"delta = {delta} outside [{DELTA_MIN}, pi - {DELTA_MIN}]")
+    x0, y0 = boundary_point(spec, start_psi)
+    ex = -xp.sin(_reduce(angle))
+    ey = xp.cos(_reduce(angle))
 
     def cross(psi1):
         x1, y1 = boundary_point(spec, psi1)
@@ -340,66 +298,22 @@ def geometric_reflect(spec: SupportSpec, start_psi: float,
 
     def dcross(psi1):
         # gamma'(psi1) = rho(psi1) t(psi1)
-        rho = eval_jet(spec, psi1).rho
-        return rho * math.sin(psi1 - angle)
+        return spec.jet(psi1).rho * xp.sin(psi1 - angle)
 
-    scale = 1.0 + math.hypot(x0, y0)
-    psi1 = _solve_increasing(cross, dcross, psi + delta, psi + delta + math.pi,
-                             scale)
+    scale = 1.0 + xp.max(xp.hypot(x0, y0))
+    psi1 = _solve_increasing(cross, dcross, angle, angle + math.pi, scale)
     delta1 = psi1 - angle
-    if delta1 < DELTA_MIN:
-        raise GrazingRay(f"image incidence angle {delta1:.3g} below floor")
+    if not xp.all(delta1 >= DELTA_MIN):
+        raise GrazingRay(f"image incidence angle {delta1} below floor")
     return BoundaryCoord(psi1, delta1)
-
-
-def geometric_reflect_batch(spec: SupportSpec, psi, delta):
-    """Vectorized geometric_reflect; returns (psi1, delta1) arrays."""
-    psi = np.asarray(psi, dtype=float)
-    delta = np.asarray(delta, dtype=float)
-    if np.any(delta < DELTA_MIN) or np.any(delta > math.pi - DELTA_MIN):
-        raise GrazingRay("delta outside the forward cylinder floor")
-    x0, y0 = boundary_point(spec, psi)
-    angle = psi + delta
-    ex = -np.sin(_reduce(angle))
-    ey = np.cos(_reduce(angle))
-
-    def cross(psi1):
-        x1, y1 = boundary_point(spec, psi1)
-        return ex * (y1 - y0) - ey * (x1 - x0)
-
-    def dcross(psi1):
-        return eval_jet(spec, psi1).rho * np.sin(psi1 - angle)
-
-    scale = float(1.0 + np.max(np.hypot(x0, y0)))
-    psi1 = _solve_increasing_batch(cross, dcross, psi + delta,
-                                   psi + delta + math.pi, scale)
-    return psi1, psi1 - angle
 
 
 # --- symplecticity checks ----------------------------------------------------
 
 
-def jacobian_check(spec: SupportSpec, line: LineCoord, eps: float = 1e-6) -> float:
-    """Central finite-difference Jacobian determinant of forward_map."""
-    p, phi = float(line.p), float(line.phi)
-
-    def image(pp, ff):
-        return forward_map(spec, LineCoord(pp, ff))
-
-    pp_p, pf_p = image(p + eps, phi)
-    pp_m, pf_m = image(p - eps, phi)
-    fp_p, ff_p = image(p, phi + eps)
-    fp_m, ff_m = image(p, phi - eps)
-    dp1_dp = (pp_p - pp_m) / (2 * eps)
-    dphi1_dp = (pf_p - pf_m) / (2 * eps)
-    dp1_dphi = (fp_p - fp_m) / (2 * eps)
-    dphi1_dphi = (ff_p - ff_m) / (2 * eps)
-    return dp1_dp * dphi1_dphi - dp1_dphi * dphi1_dp
-
-
 def jacobian_check_batch(spec: SupportSpec, p, phi, eps: float = 1e-6):
-    p = np.asarray(p, dtype=float)
-    phi = np.asarray(phi, dtype=float)
+    """Central finite-difference Jacobian determinant of forward_map_batch,
+    on floats or entrywise on arrays."""
     pp_p, pf_p = forward_map_batch(spec, p + eps, phi)
     pp_m, pf_m = forward_map_batch(spec, p - eps, phi)
     fp_p, ff_p = forward_map_batch(spec, p, phi + eps)

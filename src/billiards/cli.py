@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ from . import __version__
 from .beam import conjugate_scan
 from .billmap import BoundaryCoord, boundary_point, chart_to_line, \
     geometric_reflect, jacobian_check_batch, s_derivatives
-from .errors import BilliardError, CurvatureViolation, GrazingRay
+from .errors import BilliardError, CurvatureViolation, GrazingRay, SpecError
 from .fourperiodic import table_profile, verify_d_h_relations, verify_orthoptic, \
     verify_parallelogram
 from .profiles import ellipse_profile, validate_profile
@@ -40,16 +39,6 @@ def _fmt(x: float) -> str:
 
 def _is_pow2(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
-
-
-def _threads() -> int:
-    raw = os.environ.get("BILLIARD_THREADS")
-    if raw is None:
-        return 1
-    value = int(raw)
-    if value < 1:
-        raise ValueError("BILLIARD_THREADS must be >= 1")
-    return value
 
 
 @dataclass(frozen=True)
@@ -93,7 +82,8 @@ def _emit_json(data: dict, out_path) -> None:
 def _load(path):
     try:
         return load_table(path)
-    except (json.JSONDecodeError, OSError, KeyError, TypeError) as exc:
+    except (json.JSONDecodeError, OSError, KeyError, TypeError,
+            SpecError) as exc:
         print(f"error: cannot parse table spec: {exc}", file=sys.stderr)
         raise SystemExit(2)
 
@@ -149,6 +139,9 @@ def cmd_table_validate(args) -> int:
 
 def cmd_orbit(args) -> int:
     cfg = _config(args, steps=args.steps, out=args.out)
+    if not (math.isfinite(args.psi0) and math.isfinite(args.delta0)):
+        print("error: --psi0 and --delta0 must be finite", file=sys.stderr)
+        return 2
     spec = _load(args.spec)
     validate_table(spec)
     rows = ["step,psi,delta,p,phi,x,y"]
@@ -265,7 +258,8 @@ def cmd_verify(args) -> int:
                                                cfg.tol))
     report = {"table": table_to_dict(spec), "suite": args.suite,
               "grid": cfg.grid, "tol": cfg.tol, "seed": cfg.seed,
-              "threads": _threads(), "checks": checks,
+              "threads": 1,    # single-threaded; the report format keeps the key
+              "checks": checks,
               "pass": all(c["pass"] for c in checks)}
     _emit_json(report, cfg.out)
     return 0 if report["pass"] else 1
@@ -303,7 +297,7 @@ def cmd_integral(args) -> int:
               file=sys.stderr)
     data = report.to_dict()
     data["table"] = table_to_dict(spec)
-    data["threads"] = _threads()
+    data["threads"] = 1
     _emit_json(data, cfg.out)
     return 0
 
@@ -323,7 +317,7 @@ def cmd_beam_scan(args) -> int:
                   for i, step in enumerate(detected) if step >= 0]
     report = {"table": table_to_dict(spec), "starts": cfg.starts,
               "max_steps": cfg.max_steps, "seed": cfg.seed,
-              "threads": _threads(), "detections": detections,
+              "threads": 1, "detections": detections,
               "detection_count": len(detections)}
     _emit_json(report, cfg.out)
     return 0

@@ -33,5 +33,10 @@ class SolverError(BilliardError):
     """Root bracketing or polishing failed; usually signals an invalid table."""
 
 
+class SpecError(ValueError):
+    """A table spec that does not parse: not an object, unknown type, or a
+    non-numeric field."""
+
+
 class AliasingWarning(UserWarning):
     """Sampled data carries non-negligible energy in the top spectral mode."""

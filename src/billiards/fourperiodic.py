@@ -26,12 +26,12 @@ from .beam import BeamState
 from .billmap import BoundaryCoord, boundary_point, chart_to_line, \
     geometric_reflect
 from .profiles import (AngleProfile, EllipseProfile, Profile, ellipse_profile,
-                       profile_eval, profile_from_modes, validate_profile)
-from .supportfn import EllipseTable, ProfileTable, SupportSpec, eval_jet
+                       profile_from_modes, validate_profile)
+from .supportfn import EllipseTable, ProfileTable, SupportSpec
 
 __all__ = [
     "AngleProfile", "EllipseProfile", "Profile", "PonceletQuad",
-    "ellipse_profile", "profile_eval", "profile_from_modes",
+    "ellipse_profile", "profile_from_modes",
     "validate_profile", "table_profile", "invariant_curve_state",
     "verify_parallelogram", "verify_rectangle", "verify_orthoptic",
     "verify_d_h_relations",
@@ -79,7 +79,7 @@ def verify_parallelogram(spec: SupportSpec, profile, psi: float,
     all ~0 when {delta = d(psi)} really consists of 4-periodic orbits;
     `passed` compares the worst of them against tol.
     """
-    d0 = profile_eval(profile, psi)[0]
+    d0 = profile.jet(psi)[0]
     state = BoundaryCoord(float(psi), float(d0))
     psis = [state.psi]
     deltas = [state.delta]
@@ -119,8 +119,8 @@ def verify_rectangle(spec: SupportSpec, profile, psi: float) -> float:
 def verify_orthoptic(spec: SupportSpec, grid_n: int = 1024) -> tuple[float, float]:
     """(R^2 estimate, max deviation) of h^2(psi) + h^2(psi + pi/2)."""
     psi = np.linspace(0.0, 2.0 * math.pi, grid_n, endpoint=False)
-    h = eval_jet(spec, psi).h
-    h_quarter = eval_jet(spec, psi + math.pi / 2).h
+    h = spec.jet(psi).h
+    h_quarter = spec.jet(psi + math.pi / 2).h
     vals = h * h + h_quarter * h_quarter
     r_squared = float(np.mean(vals))
     return r_squared, float(np.max(np.abs(vals - r_squared)))
@@ -134,9 +134,9 @@ def verify_d_h_relations(spec: SupportSpec, profile,
     The second identity is skipped wherever |h'(psi)| < 1e-8.
     """
     psi = np.linspace(0.0, 2.0 * math.pi, grid_n, endpoint=False)
-    d = profile_eval(profile, psi)[0]
-    jet = eval_jet(spec, psi)
-    jet_quarter = eval_jet(spec, psi + math.pi / 2)
+    d = profile.jet(psi)[0]
+    jet = spec.jet(psi)
+    jet_quarter = spec.jet(psi + math.pi / 2)
     tan_d = np.tan(d)
     res_h = float(np.max(np.abs(tan_d - jet.h / jet_quarter.h)))
     mask = np.abs(jet.dh) >= 1e-8
@@ -154,8 +154,8 @@ def invariant_curve_state(spec: SupportSpec, profile, psi: float) -> BeamState:
     Parametrizing the curve by psi gives phi(psi) = psi + d and
     p(psi) = h cos d + h' sin d; omega is dp/dphi along it.
     """
-    d, dp_dpsi, _ = profile_eval(profile, psi)
-    h, dh, ddh = eval_jet(spec, psi)
+    d, dp_dpsi, _ = profile.jet(psi)
+    h, dh, ddh = spec.jet(psi)
     line = chart_to_line(spec, BoundaryCoord(float(psi), float(d)))
     # d/dpsi of p = h cos d + h' sin d, with d = d(psi)
     p_rate = (dh * math.cos(d) - h * math.sin(d) * dp_dpsi

@@ -11,6 +11,7 @@ structurally, so admissibility of the mode list is checked at construction.
 from __future__ import annotations
 
 import math
+import types
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,9 +20,25 @@ import numpy as np
 TAU = 2.0 * math.pi
 
 
+def _sign(x):
+    return 1.0 if x > 0.0 else -1.0 if x < 0.0 else 0.0 * x
+
+
+# numpy's names over math and builtins, so one body of numerics serves
+# floats at stdlib speed and arrays entrywise; a module (not a namespace
+# object) because attribute loads on modules are the fast path
+_FLOATS = types.ModuleType("floats", "numpy's names over math, for floats")
+vars(_FLOATS).update(
+    sin=math.sin, cos=math.cos, sqrt=math.sqrt, arccos=math.acos,
+    hypot=math.hypot, abs=abs, sign=_sign, maximum=max,
+    where=lambda cond, a, b: a if cond else b,
+    clip=lambda x, lo, hi: min(max(x, lo), hi),
+    all=bool, any=bool, min=lambda x: x, max=lambda x: x)
+
+
 def _xp(x):
-    """Pick the math backend: numpy for arrays, stdlib math for scalars."""
-    return np if isinstance(x, np.ndarray) else math
+    """The backend for x: numpy for arrays, the float module otherwise."""
+    return np if isinstance(x, np.ndarray) else _FLOATS
 
 
 def _reduce(psi):
@@ -92,24 +109,18 @@ class EllipseProfile:
     def jet(self, psi):
         xp = _xp(psi)
         psi = _reduce(psi)
-        arccos = math.acos if xp is math else np.arccos
         A = self.amplitude
         c2 = xp.cos(2.0 * psi)
         s2 = xp.sin(2.0 * psi)
         u = A * c2
         w = xp.sqrt(1.0 - u * u)
-        d = 0.5 * arccos(u)
+        d = 0.5 * xp.arccos(u)
         dp = A * s2 / w
         ddp = 2.0 * A * c2 / w - 2.0 * A**3 * s2 * s2 * c2 / w**3
         return d, dp, ddp
 
 
 Profile = AngleProfile | EllipseProfile
-
-
-def profile_eval(profile, psi):
-    """Evaluate (d, d', d'') of a profile at psi (scalar or array)."""
-    return profile.jet(psi)
 
 
 def ellipse_profile(a: float, b: float) -> EllipseProfile:

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .billmap import BoundaryCoord, chart_to_line
-from .supportfn import SupportSpec, eval_jet
+from .supportfn import SupportSpec
 
 _MASK = (1 << 64) - 1
 
@@ -81,8 +81,8 @@ def random_interior_lines(spec: SupportSpec, n: int, seed: int,
         u1 = rng.next_float()
         u2 = rng.next_float()
         phi = 2.0 * math.pi * u1
-        hi = eval_jet(spec, phi).h
-        lo = -eval_jet(spec, phi + math.pi).h
+        hi = spec.jet(phi).h
+        lo = -spec.jet(phi + math.pi).h
         frac = margin + (1.0 - 2.0 * margin) * u2
         ps[i] = lo + frac * (hi - lo)
         phis[i] = phi

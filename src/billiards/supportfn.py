@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import CurvatureViolation
+from .errors import CurvatureViolation, SpecError
 from .profiles import (AngleProfile, EllipseProfile, Profile, _reduce, _xp,
                        profile_from_modes)
 
@@ -132,11 +132,6 @@ class ProfileTable:
 SupportSpec = EllipseTable | FourierTable | ProfileTable
 
 
-def eval_jet(spec: SupportSpec, psi) -> Jet2:
-    """(h, h', h'') at psi, exact for the representation at hand."""
-    return spec.jet(psi)
-
-
 def ellipse_support(a: float, b: float) -> EllipseTable:
     """Ellipse table with semi-axes a >= b > 0 on the coordinate axes."""
     return EllipseTable(float(a), float(b))
@@ -188,15 +183,6 @@ def is_centrally_symmetric(spec: SupportSpec, grid_n: int = VALIDATION_GRID,
     return symmetry_defect(spec, grid_n) <= tol
 
 
-def require_central_symmetry(spec: SupportSpec, tol: float = 1e-9) -> None:
-    defect = symmetry_defect(spec)
-    if defect > tol:
-        raise ValueError(
-            f"table is not centrally symmetric: |h(psi+pi) - h(psi)| "
-            f"reaches {defect:.3g} (tol {tol:g})"
-        )
-
-
 def arclength_of_psi(spec: SupportSpec, psi: float) -> float:
     """Arclength s(psi) = integral of rho from 0 to psi (ds = rho dpsi)."""
     val, _ = quad(lambda t: float(spec.jet(t).rho), 0.0, float(psi),
@@ -215,18 +201,33 @@ def perimeter(spec: SupportSpec) -> float:
 # {"type":"profile","R":<num>,"d_modes":[[n, cos_amp, sin_amp], ...]}
 
 
+def _number(value, name: str) -> float:
+    try:
+        return float(value)
+    except ValueError as exc:
+        raise SpecError(f"{name} is not a number: {value!r}") from exc
+
+
 def table_from_dict(data: dict) -> SupportSpec:
+    """Build a table from its JSON form.
+
+    A spec that does not parse raises SpecError (not an object, unknown
+    type, non-numeric field), KeyError (missing field) or TypeError; one
+    that parses into an inadmissible table raises ValueError.
+    """
+    if not isinstance(data, dict):
+        raise SpecError(f"expected a JSON object, got {type(data).__name__}")
     kind = data.get("type")
     if kind == "ellipse":
-        return EllipseTable(float(data["a"]), float(data["b"]))
+        return EllipseTable(_number(data["a"], "a"), _number(data["b"], "b"))
     if kind == "fourier":
-        return FourierTable(float(data["c0"]),
-                            tuple(float(c) for c in data.get("cos", ())),
-                            tuple(float(s) for s in data.get("sin", ())))
+        return FourierTable(_number(data["c0"], "c0"),
+                            tuple(_number(c, "cos") for c in data.get("cos", ())),
+                            tuple(_number(s, "sin") for s in data.get("sin", ())))
     if kind == "profile":
         profile = profile_from_modes(data.get("d_modes", ()))
-        return ProfileTable(profile, float(data["R"]))
-    raise ValueError(f"unknown table type {kind!r}")
+        return ProfileTable(profile, _number(data["R"], "R"))
+    raise SpecError(f"unknown table type {kind!r}")
 
 
 def table_to_dict(spec: SupportSpec) -> dict:

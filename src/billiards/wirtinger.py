@@ -37,8 +37,8 @@ import numpy as np
 
 from .billmap import LineCoord, forward_map, s_derivatives
 from .errors import AliasingWarning, NoRealCaustic
-from .profiles import validate_profile
-from .supportfn import ProfileTable, SupportSpec, ellipse_support, eval_jet, \
+from .profiles import _xp, validate_profile
+from .supportfn import ProfileTable, SupportSpec, ellipse_support, \
     validate_table
 
 
@@ -105,8 +105,8 @@ def spectral_derivative(samples: PeriodicSamples, order: int) -> PeriodicSamples
 
 def integrand_inner(spec: SupportSpec, psi, delta):
     """Pointwise integrand on the phase region, before delta-integration."""
-    xp = np if isinstance(psi, np.ndarray) or isinstance(delta, np.ndarray) else math
-    h, dh, ddh = eval_jet(spec, psi)
+    xp = _xp(delta)
+    h, dh, ddh = spec.jet(psi)
     rho = h + ddh
     c = xp.cos(delta)
     s = xp.sin(delta)
@@ -119,8 +119,8 @@ def integrand_U(spec: SupportSpec, profile, psi):
 
     Closed form with weights (d/2 - sin 2d / 4) and (d/8 - sin 4d / 32).
     """
-    xp = np if isinstance(psi, np.ndarray) else math
-    h, dh, ddh = eval_jet(spec, psi)
+    xp = _xp(psi)
+    h, dh, ddh = spec.jet(psi)
     rho = h + ddh
     d = profile.jet(psi)[0]
     w_low = 0.5 * d - 0.25 * xp.sin(2.0 * d)
@@ -135,7 +135,7 @@ def split_U(profile, R: float, psi):
         U2 = -h (h + h'')(3 h'^2 + h h'') sin 4d / 32
         U3 = h (h + h'')(h h'' - h'^2) d / 8
     """
-    xp = np if isinstance(psi, np.ndarray) else math
+    xp = _xp(psi)
     d, dp, ddp = profile.jet(psi)
     sd = xp.sin(d)
     cd = xp.cos(d)
@@ -165,21 +165,6 @@ def _u_parts_d(d, dp, ddp, R):
     u2 = -(R4 / 32.0) * s4 * ((1.0 - q) * s * s + 0.5 * s2 * ddp) \
         * (q * (4.0 * c * c - 1.0) + 0.5 * s2 * ddp)
     u3 = (R4 / 16.0) * d * s * ((1.0 - q) * s + ddp * c) * (ddp * s2 - 2.0 * q)
-    return u1, u2, u3
-
-
-def _u_hat_parts_d(d, dp, ddp, R):
-    q = dp * dp
-    s = np.sin(d)
-    c = np.cos(d)
-    s2 = np.sin(2.0 * d)
-    s4 = np.sin(4.0 * d)
-    R4 = R**4
-    u1 = (R4 / 8.0) * q * s2 * s2 * ((1.0 - q) * 0.5 * s2 - ddp * s * s)
-    u2 = (R4 / 32.0) * s4 * ((1.0 - q) * c * c - 0.5 * s2 * ddp) \
-        * (q * (4.0 * s * s - 1.0) - 0.5 * s2 * ddp)
-    u3 = (R4 / 16.0) * (0.5 * math.pi - d) * c * ((1.0 - q) * c - ddp * s) \
-        * (-ddp * s2 - 2.0 * q)
     return u1, u2, u3
 
 
@@ -226,7 +211,7 @@ def _w_combined_d(d, dp, ddp, R):
 
 def mu_jet(profile, psi):
     """mu = cos 2d and its chain-rule derivatives at psi."""
-    xp = np if isinstance(psi, np.ndarray) else math
+    xp = _xp(psi)
     d, dp, ddp = profile.jet(psi)
     s2 = xp.sin(2.0 * d)
     mu = xp.cos(2.0 * d)

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from billiards.beam import (TangentVector, conjugate_scan, detect_conjugate,
-                            monotone_bounds, orbit_lines, push_tangent,
-                            riccati_step)
+from billiards.beam import (TangentVector, conjugate_scan, monotone_bounds,
+                            orbit_lines, push_tangent, riccati_step)
 from billiards.billmap import (BoundaryCoord, LineCoord, SDerivatives,
                                chart_to_line, forward_map, s_derivatives)
 from billiards.errors import MonotonicityBreak
@@ -161,7 +160,7 @@ def test_caustic_slope_within_bounds(ellipse21):
 
 def test_detect_conjugate_none_on_circle(circle):
     line = chart_to_line(circle, BoundaryCoord(0.3, 0.6))
-    assert detect_conjugate(circle, line, 10000) is None
+    assert conjugate_scan(circle, line.p, line.phi, 10000) == -1
 
 
 def test_detect_conjugate_none_on_ellipse_region(ellipse21,
@@ -175,10 +174,10 @@ def test_detect_conjugate_found_on_mode6_table(mode6_table, mode6_profile):
     _, _, p, phi = scan_starts(mode6_table, mode6_profile, 64, seed=9)
     detections = conjugate_scan(mode6_table, p, phi, 2000)
     assert np.any(detections >= 0)
-    # scalar detector agrees on the first detecting start
+    # a float start gives the same step as its entry of the array scan
     idx = int(np.argmax(detections >= 0))
-    step = detect_conjugate(mode6_table, LineCoord(p[idx], phi[idx]), 2000)
-    assert step == int(detections[idx])
+    step = conjugate_scan(mode6_table, float(p[idx]), float(phi[idx]), 2000)
+    assert step == detections[idx]
 
 
 def test_circle_vertical_never_returns(circle):

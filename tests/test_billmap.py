@@ -6,8 +6,7 @@ import pytest
 from billiards.billmap import (BoundaryCoord, LineCoord, boundary_point,
                                chart_change_determinant, chart_to_line,
                                forward_map, forward_map_batch, generating_S,
-                               geometric_reflect, geometric_reflect_batch,
-                               half_turn, inverse_map, jacobian_check,
+                               geometric_reflect, half_turn, inverse_map,
                                jacobian_check_batch, line_to_chart, p_of,
                                s_derivatives)
 from billiards.errors import GrazingRay, OutsideCylinder
@@ -104,8 +103,7 @@ def test_p_of_sign_identity(ellipse21, mode6_table):
         for phi, phi1 in ((0.2, 1.7), (1.0, 4.2), (3.0, 5.9)):
             psi = 0.5 * (phi + phi1)
             delta = 0.5 * (phi1 - phi)
-            from billiards.supportfn import eval_jet
-            dh = eval_jet(spec, psi).dh
+            dh = spec.jet(psi).dh
             p, p1 = p_of(spec, phi, phi1)
             assert p1 - p == pytest.approx(2 * dh * math.sin(delta),
                                            abs=1e-14, rel=1e-13)
@@ -167,13 +165,24 @@ def test_grazing_floor(ellipse21):
         geometric_reflect(ellipse21, 0.0, math.pi - 1e-10)
 
 
+@pytest.mark.parametrize("bad", [math.nan, 1e-10, math.pi - 1e-10])
+def test_grazing_floor_on_arrays(ellipse21, bad):
+    # one entry off the floor (or NaN) refuses the whole array
+    psi = np.linspace(0.0, 2 * math.pi, 8, endpoint=False)
+    delta = np.full(8, 0.9)
+    delta[3] = bad
+    with pytest.raises(GrazingRay):
+        geometric_reflect(ellipse21, psi, delta)
+    with pytest.raises(GrazingRay):
+        geometric_reflect(ellipse21, float(psi[3]), bad)
+
+
 def test_monotone_residual_single_sign_change(ellipse21):
     # the implicit residual phi1 -> p + S1(phi, phi1) decreases strictly
     p, phi = 0.7, 0.4
-    from billiards.supportfn import eval_jet
     phis = np.linspace(phi + 1e-6, phi + 2 * math.pi - 1e-6, 2000)
     delta = 0.5 * (phis - phi)
-    jet = eval_jet(ellipse21, 0.5 * (phi + phis))
+    jet = ellipse21.jet(0.5 * (phi + phis))
     g = jet.h * np.cos(delta) - jet.dh * np.sin(delta)
     assert np.all(np.diff(g) < 0.0)
     signs = np.sign(p - g)
@@ -249,7 +258,7 @@ def test_oracle_equivalence_on_grid(spec_name, request):
     p = jet.h * np.cos(deltas) + jet.dh * np.sin(deltas)
     phi = psis + deltas
     p1, phi1 = forward_map_batch(spec, p, phi)
-    psi1, delta1 = geometric_reflect_batch(spec, psis, deltas)
+    psi1, delta1 = geometric_reflect(spec, psis, deltas)
     jet1 = spec.jet(psi1)
     p1_oracle = jet1.h * np.cos(delta1) + jet1.dh * np.sin(delta1)
     phi1_oracle = psi1 + delta1
@@ -258,19 +267,31 @@ def test_oracle_equivalence_on_grid(spec_name, request):
 
 
 def test_batch_matches_scalar(ellipse21):
+    # floats and arrays run one solver, so each entry is bit for bit the
+    # float result
     p, phi = random_interior_lines(ellipse21, 32, 3)
     p1, phi1 = forward_map_batch(ellipse21, p, phi)
     for i in range(32):
         scalar = forward_map(ellipse21, LineCoord(p[i], phi[i]))
-        assert p1[i] == pytest.approx(scalar.p, abs=1e-10)
-        assert phi1[i] == pytest.approx(scalar.phi, abs=1e-10)
+        assert (p1[i], phi1[i]) == (scalar.p, scalar.phi)
+
+
+@pytest.mark.parametrize("spec_name", ["circle", "ellipse21", "mode6_table"])
+def test_geometric_reflect_float_matches_array(spec_name, request):
+    spec = request.getfixturevalue(spec_name)
+    psi = np.linspace(0.0, 2 * math.pi, 32, endpoint=False)
+    delta = (np.arange(32) + 1.0) * math.pi / 33.0
+    psi1, delta1 = geometric_reflect(spec, psi, delta)
+    for i in range(32):
+        scalar = geometric_reflect(spec, float(psi[i]), float(delta[i]))
+        assert (psi1[i], delta1[i]) == (scalar.psi, scalar.delta)
 
 
 # --- symplecticity ---------------------------------------------------------------
 
 
 def test_jacobian_circle(circle):
-    assert jacobian_check(circle, LineCoord(0.3, 0.7)) == pytest.approx(
+    assert jacobian_check_batch(circle, 0.3, 0.7) == pytest.approx(
         1.0, abs=1e-6)
 
 
@@ -288,7 +309,7 @@ def test_map_on_asymmetric_convex_table():
     jet = table.jet(psi)
     p0 = jet.h * np.cos(delta) + jet.dh * np.sin(delta)
     p1, phi1 = forward_map_batch(table, p0, psi + delta)
-    psi1, delta1 = geometric_reflect_batch(table, psi, delta)
+    psi1, delta1 = geometric_reflect(table, psi, delta)
     jet1 = table.jet(psi1)
     assert np.max(np.abs(p1 - (jet1.h * np.cos(delta1)
                                + jet1.dh * np.sin(delta1)))) <= 1e-9

@@ -58,6 +58,17 @@ def test_validate_malformed_json_exits_2(tmp_path, capsys):
     assert main(["table", "validate", str(path)]) == 2
 
 
+@pytest.mark.parametrize("data", [
+    [{"type": "ellipse", "a": 2, "b": 1}],
+    {"a": "x"},
+    {"type": "ellipse", "a": "x", "b": 1},
+])
+def test_validate_unparseable_spec_exits_2(write_spec, capsys, data):
+    path = write_spec("unparseable.json", data)
+    assert main(["table", "validate", path]) == 2
+    assert "error: cannot parse table spec" in capsys.readouterr().err
+
+
 def test_orbit_circle_square(circle_spec, tmp_path):
     out = tmp_path / "trace.csv"
     code = main(["orbit", circle_spec, "--psi0", "0",
@@ -113,6 +124,17 @@ def test_orbit_grazing_aborts_with_exit_3(ellipse_spec, tmp_path):
     assert code == 3
     # partial output: header only, the start already grazes
     assert out.read_text().splitlines()[0] == "step,psi,delta,p,phi,x,y"
+
+
+@pytest.mark.parametrize("psi0, delta0", [
+    ("nan", "0.5"), ("inf", "0.5"), ("0", "nan"), ("0", "inf"),
+])
+def test_orbit_non_finite_start_exits_2(ellipse_spec, tmp_path, psi0, delta0):
+    out = tmp_path / "trace.csv"
+    code = main(["orbit", ellipse_spec, "--psi0", psi0, "--delta0", delta0,
+                 "--steps", "5", "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
 
 
 def test_verify_all_ellipse(ellipse_spec, tmp_path):
@@ -211,3 +233,21 @@ def test_beam_scan_byte_determinism(mode6_spec, tmp_path):
               "--seed", "11", "--out", str(path)])
         blobs.append(path.read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def test_beam_scan_ignores_billiard_threads(mode6_spec, tmp_path, monkeypatch):
+    # the program is single-threaded and reports "threads": 1 whatever the
+    # environment says
+    blobs = {}
+    for value in (None, "4", "abc"):
+        if value is None:
+            monkeypatch.delenv("BILLIARD_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("BILLIARD_THREADS", value)
+        path = tmp_path / f"scan-{value}.json"
+        assert main(["beam-scan", mode6_spec, "--starts", "8",
+                     "--max-steps", "50", "--seed", "3",
+                     "--out", str(path)]) == 0
+        blobs[value] = path.read_bytes()
+    assert blobs["4"] == blobs[None] and blobs["abc"] == blobs[None]
+    assert json.loads(blobs[None])["threads"] == 1

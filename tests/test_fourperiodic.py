@@ -5,7 +5,7 @@ import pytest
 
 from billiards.billmap import BoundaryCoord, chart_to_line, forward_map, half_turn
 from billiards.fourperiodic import (AngleProfile, ellipse_profile,
-                                    invariant_curve_state, profile_eval,
+                                    invariant_curve_state,
                                     table_profile, validate_profile,
                                     verify_d_h_relations, verify_orthoptic,
                                     verify_parallelogram, verify_rectangle)
@@ -13,14 +13,14 @@ from billiards.supportfn import FourierTable, table_from_profile
 
 
 def test_profile_eval_constant():
-    d, dp, ddp = profile_eval(AngleProfile(()), 0.7)
+    d, dp, ddp = AngleProfile(()).jet(0.7)
     assert (d, dp, ddp) == (math.pi / 4, 0.0, 0.0)
 
 
 def test_profile_eval_single_mode():
     eps = 0.05
     prof = AngleProfile(((2, eps, 0.0),))
-    d, dp, ddp = profile_eval(prof, 0.0)
+    d, dp, ddp = prof.jet(0.0)
     assert d == pytest.approx(math.pi / 4 + eps, abs=1e-15)
     assert dp == pytest.approx(0.0, abs=1e-15)
     assert ddp == pytest.approx(-4 * eps, abs=1e-15)
@@ -29,8 +29,8 @@ def test_profile_eval_single_mode():
 def test_profile_quarter_turn_symmetry(mode6_profile):
     rng = np.random.default_rng(3)
     for psi in rng.uniform(0.0, 2 * math.pi, 1000):
-        d0 = profile_eval(mode6_profile, psi)[0]
-        d1 = profile_eval(mode6_profile, psi + math.pi / 2)[0]
+        d0 = mode6_profile.jet(psi)[0]
+        d1 = mode6_profile.jet(psi + math.pi / 2)[0]
         assert d0 + d1 == pytest.approx(math.pi / 2, abs=1e-14)
 
 
@@ -48,17 +48,17 @@ def test_profile_range_validation():
 def test_ellipse_profile_circle_limit():
     prof = ellipse_profile(1.0, 1.0)
     for psi in (0.0, 0.9, 3.3):
-        assert profile_eval(prof, psi)[0] == pytest.approx(math.pi / 4,
+        assert prof.jet(psi)[0] == pytest.approx(math.pi / 4,
                                                            abs=1e-15)
 
 
 def test_ellipse_profile_closed_form():
     prof = ellipse_profile(2.0, 1.0)
-    d0 = profile_eval(prof, 0.0)[0]
+    d0 = prof.jet(0.0)[0]
     assert d0 == pytest.approx(0.5 * math.acos(-0.6), abs=1e-15)
     # R sin d(0) recovers the major semi-axis
     assert math.sqrt(5.0) * math.sin(d0) == pytest.approx(2.0, abs=1e-14)
-    assert profile_eval(prof, math.pi / 4)[0] == pytest.approx(math.pi / 4,
+    assert prof.jet(math.pi / 4)[0] == pytest.approx(math.pi / 4,
                                                                abs=1e-15)
 
 
@@ -66,7 +66,7 @@ def test_ellipse_profile_derivatives_by_finite_differences():
     prof = ellipse_profile(2.0, 1.0)
     e = 1e-5
     for psi in (0.2, 1.0, 2.5):
-        d, dp, ddp = profile_eval(prof, psi)
+        d, dp, ddp = prof.jet(psi)
         fd1 = (prof.jet(psi + e)[0] - prof.jet(psi - e)[0]) / (2 * e)
         fd2 = (prof.jet(psi + e)[0] - 2 * d + prof.jet(psi - e)[0]) / e**2
         assert dp == pytest.approx(fd1, rel=1e-8, abs=1e-9)
@@ -107,7 +107,7 @@ def test_rectangle_residuals(circle, ellipse21, ellipse21_profile):
 def test_half_period_and_line_symmetry(ellipse21, ellipse21_profile):
     # second iteration maps a line to its point reflection: T^2 = half turn
     for psi in (0.1, 1.3):
-        d = profile_eval(ellipse21_profile, psi)[0]
+        d = ellipse21_profile.jet(psi)[0]
         line = chart_to_line(ellipse21, BoundaryCoord(psi, d))
         twice = forward_map(ellipse21, forward_map(ellipse21, line))
         mirrored = half_turn(line)

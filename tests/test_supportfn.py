@@ -7,9 +7,9 @@ from scipy.integrate import quad
 
 from billiards.errors import CurvatureViolation
 from billiards.profiles import AngleProfile, ellipse_profile
-from billiards.supportfn import (FourierTable,
-                                 arclength_of_psi, ellipse_support, eval_jet,
-                                 is_centrally_symmetric, perimeter,
+from billiards.supportfn import (FourierTable, arclength_of_psi,
+                                 ellipse_support, is_centrally_symmetric,
+                                 perimeter,
                                  symmetry_defect, table_from_dict,
                                  table_from_profile, table_to_dict,
                                  validate_table)
@@ -26,7 +26,7 @@ def second_diff(f, x, step=1e-5):
 
 
 def test_ellipse_jet_at_vertex(ellipse21):
-    jet = eval_jet(ellipse21, 0.0)
+    jet = ellipse21.jet(0.0)
     assert jet.h == pytest.approx(2.0, abs=1e-14)
     assert jet.dh == pytest.approx(0.0, abs=1e-14)
     # differentiating the closed form twice gives h'' = (b^2 - a^2)/a
@@ -36,7 +36,7 @@ def test_ellipse_jet_at_vertex(ellipse21):
 
 def test_unit_circle_fourier_jet(fourier_circle):
     for psi in (0.0, 0.3, 2.0, 5.5):
-        jet = eval_jet(fourier_circle, psi)
+        jet = fourier_circle.jet(psi)
         assert jet == (1.0, 0.0, 0.0)
         assert jet.rho == 1.0
         assert jet.curvature == 1.0
@@ -45,7 +45,7 @@ def test_unit_circle_fourier_jet(fourier_circle):
 def test_constant_profile_is_circle():
     table = table_from_profile(AngleProfile(()), math.sqrt(2.0))
     for psi in (0.0, 1.0, 4.0):
-        jet = eval_jet(table, psi)
+        jet = table.jet(psi)
         assert jet.h == pytest.approx(1.0, abs=1e-15)
         assert jet.dh == 0.0
         assert jet.ddh == 0.0
@@ -55,9 +55,9 @@ def test_constant_profile_is_circle():
                                        "mode2_table"])
 def test_derivatives_match_finite_differences(spec_name, request):
     spec = request.getfixturevalue(spec_name)
-    h = lambda psi: eval_jet(spec, psi).h
+    h = lambda psi: spec.jet(psi).h
     for psi in np.linspace(0.1, 2 * math.pi, 17):
-        jet = eval_jet(spec, psi)
+        jet = spec.jet(psi)
         fd1 = central_diff(h, psi)
         fd2 = second_diff(h, psi)
         assert jet.dh == pytest.approx(fd1, rel=1e-6, abs=1e-9)
@@ -65,10 +65,10 @@ def test_derivatives_match_finite_differences(spec_name, request):
 
 
 def test_ellipse_support_values(ellipse21):
-    assert eval_jet(ellipse21, 0.0).h == pytest.approx(2.0, abs=1e-15)
-    assert eval_jet(ellipse21, math.pi / 2).h == pytest.approx(1.0, abs=1e-15)
+    assert ellipse21.jet(0.0).h == pytest.approx(2.0, abs=1e-15)
+    assert ellipse21.jet(math.pi / 2).h == pytest.approx(1.0, abs=1e-15)
     # support at pi/4 from the closed form
-    assert eval_jet(ellipse21, math.pi / 4).h == pytest.approx(
+    assert ellipse21.jet(math.pi / 4).h == pytest.approx(
         math.sqrt(2.5), abs=1e-15)
 
 
@@ -85,8 +85,8 @@ def test_profile_table_reproduces_ellipse(ellipse21):
     # cos 2d = -(3/5) cos 2psi with R = sqrt(5) is the (2,1) ellipse
     table = table_from_profile(ellipse_profile(2.0, 1.0), math.sqrt(5.0))
     psi = np.linspace(0.0, 2 * math.pi, 256, endpoint=False)
-    assert np.max(np.abs(eval_jet(table, psi).h
-                         - eval_jet(ellipse21, psi).h)) <= 1e-10
+    assert np.max(np.abs(table.jet(psi).h
+                         - ellipse21.jet(psi).h)) <= 1e-10
 
 
 def test_wild_profile_fails_curvature_check():
@@ -130,21 +130,21 @@ def test_arclength_monotone_and_symmetric(ellipse21):
 def test_positivity_on_fine_grid(spec_name, request):
     spec = request.getfixturevalue(spec_name)
     psi = np.linspace(0.0, 2 * math.pi, 2048, endpoint=False)
-    jet = eval_jet(spec, psi)
+    jet = spec.jet(psi)
     assert np.min(jet.rho) > 0.0
     assert np.min(jet.h) > 0.0
 
 
 def test_ellipse_orthoptic_identity(ellipse21):
     psi = np.linspace(0.0, 2 * math.pi, 512, endpoint=False)
-    h = eval_jet(ellipse21, psi).h
-    h_quarter = eval_jet(ellipse21, psi + math.pi / 2).h
+    h = ellipse21.jet(psi).h
+    h_quarter = ellipse21.jet(psi + math.pi / 2).h
     assert np.max(np.abs(h * h + h_quarter * h_quarter - 5.0)) <= 1e-10
 
 
 def test_ellipse_h_squared_identity(ellipse21):
     for psi in np.linspace(0.0, 2 * math.pi, 64):
-        h = eval_jet(ellipse21, psi).h
+        h = ellipse21.jet(psi).h
         expected = 4.0 * math.cos(psi) ** 2 + math.sin(psi) ** 2
         assert h * h == pytest.approx(expected, abs=1e-13)
 
@@ -174,7 +174,7 @@ def test_json_round_trip(tmp_path, mode6_table):
         path.write_text(json.dumps(data))
         again = table_from_dict(json.loads(path.read_text()))
         psi = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
-        assert np.array_equal(eval_jet(again, psi).h, eval_jet(spec, psi).h)
+        assert np.array_equal(again.jet(psi).h, spec.jet(psi).h)
 
 
 def test_unknown_table_type_rejected():
@@ -185,7 +185,7 @@ def test_unknown_table_type_rejected():
 def test_jets_accept_lifted_angles(ellipse21):
     # evaluation reduces mod 2pi, so large lifts agree with the base value
     psi = 1.234
-    base = eval_jet(ellipse21, psi)
-    lifted = eval_jet(ellipse21, psi + 20 * math.pi)
+    base = ellipse21.jet(psi)
+    lifted = ellipse21.jet(psi + 20 * math.pi)
     assert lifted.h == pytest.approx(base.h, abs=1e-12)
     assert lifted.dh == pytest.approx(base.dh, abs=1e-12)

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from billiards.billmap import LineCoord, p_of, s_derivatives
 from billiards.errors import AliasingWarning, NoRealCaustic
 from billiards.fourperiodic import AngleProfile, ellipse_profile
-from billiards.supportfn import ProfileTable, ellipse_support, eval_jet
+from billiards.supportfn import ProfileTable, ellipse_support
 from billiards.wirtinger import (MuFunction, PeriodicSamples,
                                  equality_reconstruct, hopf_identity_ellipse,
                                  integrand_P, integrand_U, integrand_inner,
@@ -28,7 +28,7 @@ def bracket_oracle(spec, psi, delta):
     phi, phi1 = psi - delta, psi + delta
     p, p1 = p_of(spec, phi, phi1)
     sd = s_derivatives(spec, phi, phi1)
-    jet = eval_jet(spec, psi)
+    jet = spec.jet(psi)
     bracket = p * p * sd.s11 + p1 * p1 * sd.s22 + 2 * p * p1 * sd.s12
     return 0.5 * bracket * jet.rho * math.sin(delta)
 
@@ -300,7 +300,7 @@ def test_equality_reconstruct_ellipse21():
         d = 0.5 * math.acos(A * math.cos(2 * psi))
         assert h_rec == pytest.approx(R * math.sin(d), abs=1e-10)
         # same curve as the canonical (2, 1) ellipse, rotated a quarter turn
-        assert h_rec == pytest.approx(eval_jet(ref, psi + math.pi / 2).h,
+        assert h_rec == pytest.approx(ref.jet(psi + math.pi / 2).h,
                                       abs=1e-10)
 
 
@@ -318,8 +318,8 @@ def test_mean_zero_of_squared_support_difference(ellipse21, mode6_table):
     n = 1024
     psi = np.arange(n) * (math.pi / n)
     for spec in (ellipse21, mode6_table):
-        h = eval_jet(spec, psi).h
-        hq = eval_jet(spec, psi + math.pi / 2).h
+        h = spec.jet(psi).h
+        hq = spec.jet(psi + math.pi / 2).h
         value = periodic_quadrature(PeriodicSamples(hq * hq - h * h, math.pi))
         assert abs(value) <= 1e-12
 
