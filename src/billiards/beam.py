@@ -91,8 +91,10 @@ def conjugate_scan(spec: SupportSpec, p0, phi0, max_steps: int):
     dphi = 0.0 * p
     prev_sign = dphi
     detected = xp.where(dp > 0.0, -1, -1)   # one int -1 per start
+    guess = None
     for step in range(1, max_steps + 1):
-        p1, phi1 = forward_map_batch(spec, p, phi)
+        p1, phi1 = forward_map_batch(spec, p, phi, guess)
+        guess = 2.0 * phi1 - phi    # next phi if delta is conserved
         sd = s_derivatives(spec, phi, phi1)
         dphi_next = (-dp - sd.s11 * dphi) / sd.s12
         dp_next = sd.s12 * dphi + sd.s22 * dphi_next

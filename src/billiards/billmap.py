@@ -34,9 +34,8 @@ from .profiles import _reduce, _xp
 from .supportfn import SupportSpec
 
 DELTA_MIN = 1e-9           # below this the chord solver degenerates
-BISECT_WIDTH = 1e-8        # bracketing stage target width
-RESIDUAL_TOL = 1e-12       # Newton polish target, relative to (1 + scale)
-NEWTON_STEPS = 4           # Newton polish steps after bisection, at most
+RESIDUAL_TOL = 1e-12       # solver target, relative to (1 + scale)
+MAX_ITERATIONS = 64        # safeguarded Newton iterations before SolverError
 
 
 class LineCoord(NamedTuple):
@@ -99,14 +98,18 @@ def p_of(spec: SupportSpec, phi, phi1):
     return base - swing, base + swing
 
 
-def boundary_point(spec: SupportSpec, psi):
-    """gamma(psi) = h n + h' t with n = (cos, sin), t = (-sin, cos)."""
-    xp = _xp(psi)
-    h, dh, _ = spec.jet(psi)
+def _gamma(jet, psi, xp):
+    """boundary_point from the jet of h at psi."""
+    h, dh, _ = jet
     psi = _reduce(psi)
     c = xp.cos(psi)
     s = xp.sin(psi)
     return h * c - dh * s, h * s + dh * c
+
+
+def boundary_point(spec: SupportSpec, psi):
+    """gamma(psi) = h n + h' t with n = (cos, sin), t = (-sin, cos)."""
+    return _gamma(spec.jet(psi), psi, _xp(psi))
 
 
 def inside_cylinder(spec: SupportSpec, line: LineCoord) -> bool:
@@ -122,10 +125,13 @@ def half_turn(line: LineCoord) -> LineCoord:
 # --- monotone root solving -------------------------------------------------
 #
 # Both implicit equations below are strictly monotone in the unknown thanks
-# to the twist condition, so a bracket is globally safe; bisection narrows
-# to BISECT_WIDTH and Newton supplies the last digits.  One solver serves
-# floats and arrays (entrywise), so a float solve is bit for bit one entry
-# of the array solve.
+# to the twist condition, so a bracket is globally safe.  One safeguarded
+# Newton iteration (rtsafe, Numerical Recipes 9.4) serves floats and arrays
+# entrywise: fdf gives residual and slope from one jet, the residual's sign
+# narrows the bracket, and a step that leaves it is replaced by bisection.
+# Entries freeze at the floor, so a float solve is bit for bit one entry of
+# the array solve.  Near invariant curves delta barely moves from bounce to
+# bounce, so a warm start (`guess`) sits a few Newton steps from the root.
 
 
 _EPS = float(np.finfo(float).eps)
@@ -137,44 +143,33 @@ def _granularity(x, slope):
     return 32.0 * _EPS * (1.0 + abs(x)) * abs(slope)
 
 
-def _solve_increasing(f, df, lo, hi, scale):
-    """Root of f, increasing on [lo, hi]: bisection to BISECT_WIDTH, then
-    at most NEWTON_STEPS Newton steps clipped to the bracket, then the
-    residual must sit within RESIDUAL_TOL (1 + scale) plus the floor."""
+def _solve_increasing(fdf, lo, hi, scale, guess=None):
+    """Root of f, increasing on [lo, hi], where fdf(x) = (f(x), f'(x)).
+
+    Starts at guess (the midpoint when absent or outside the bracket); an
+    entry is done once |f| <= RESIDUAL_TOL (1 + scale) plus the floor,
+    which on a monotone f certifies the unique root.  Raises SolverError
+    when an entry is not done after MAX_ITERATIONS evaluations."""
     xp = _xp(lo)
-    flo = f(lo)
-    fhi = f(hi)
-    if not (xp.all(flo < 0.0) and xp.all(fhi > 0.0)):
-        raise SolverError(f"no sign change on bracket: f(lo) up to "
-                          f"{xp.max(flo):.3g}, f(hi) down to {xp.min(fhi):.3g}")
-    width = xp.max(hi - lo)
-    for _ in range(math.ceil(math.log2(width / BISECT_WIDTH))):
-        mid = 0.5 * (lo + hi)
-        neg = f(mid) < 0.0
-        if xp is np:
-            lo = np.where(neg, mid, lo)
-            hi = np.where(neg, hi, mid)
-        elif neg:
-            lo = mid
-        else:
-            hi = mid
-    # a Newton step that moves no entry is a fixed point: every further
-    # step would repeat it, so stopping there changes no result
     x = 0.5 * (lo + hi)
-    for _ in range(NEWTON_STEPS):
-        fx = f(x)
-        slope = df(x)
-        x_new = xp.clip(x - fx / slope, lo, hi)
-        if xp.all(x_new == x):
-            break
-        x = x_new
-    else:
-        fx = f(x)
-        slope = df(x)
-    bad = abs(fx) > RESIDUAL_TOL * (1.0 + scale) + _granularity(x, slope)
-    if xp.any(bad):
-        raise SolverError(f"Newton polish stalled, residual {xp.max(abs(fx)):.3g}")
-    return x
+    if guess is not None:
+        x = xp.where((lo < guess) & (guess < hi), guess, x)
+    tol = RESIDUAL_TOL * (1.0 + scale)
+    frozen = False
+    for _ in range(MAX_ITERATIONS):
+        fx, slope = fdf(x)
+        met = abs(fx) <= tol + _granularity(x, slope)
+        step = x - fx / slope
+        lo = xp.where(fx < 0.0, x, lo)
+        hi = xp.where(fx > 0.0, x, hi)
+        # an entry that meets the floor takes this last step, then freezes
+        newton = (lo <= step) & (step <= hi)
+        x = xp.where(frozen, x, xp.where(newton, step, 0.5 * (lo + hi)))
+        frozen = frozen | met
+        if xp.all(frozen):
+            return x
+    raise SolverError(f"no root within {MAX_ITERATIONS} iterations, residual "
+                      f"{xp.max(xp.where(frozen, 0.0, abs(fx))):.3g}")
 
 
 # --- the map in line coordinates -------------------------------------------
@@ -192,32 +187,31 @@ def forward_map(spec: SupportSpec, line: LineCoord) -> LineCoord:
     return LineCoord(*forward_map_batch(spec, p, phi))
 
 
-def forward_map_batch(spec: SupportSpec, p, phi):
+def forward_map_batch(spec: SupportSpec, p, phi, guess=None):
     """forward_map on floats or entrywise on arrays of one shape; returns
     (p1, phi1).
 
     Solves p = h(psi) cos delta - h'(psi) sin delta for the unique
     phi1 in (phi, phi + 2pi); the right side is strictly decreasing in
-    phi1 (its derivative is -S12 < 0).  The cylinder is not checked.
+    phi1 (its derivative is -S12 < 0).  guess is a start for phi1, e.g.
+    2 phi - phi_prev along an orbit (delta conserved).  The cylinder is
+    not checked.
     """
     xp = _xp(phi)
 
-    def residual(phi1):
+    def fdf(phi1):
         delta = 0.5 * (phi1 - phi)
-        h, dh, _ = spec.jet(0.5 * (phi + phi1))
-        return p - (h * xp.cos(delta) - dh * xp.sin(delta))
+        h, dh, ddh = spec.jet(0.5 * (phi + phi1))
+        s = xp.sin(delta)
+        return p - (h * xp.cos(delta) - dh * s), 0.5 * (ddh + h) * s
 
-    def slope(phi1):
-        delta = 0.5 * (phi1 - phi)
-        h, _, ddh = spec.jet(0.5 * (phi + phi1))
-        return 0.5 * (ddh + h) * xp.sin(delta)
-
-    # the bracket holds the delta floor off both cylinder ends; a missing
-    # sign change therefore signals an invalid table (or a grazing corner
-    # thinner than the floor) and surfaces as SolverError
+    # the bracket holds the delta floor off both cylinder ends; a residual
+    # that never meets the floor therefore signals an invalid table, a
+    # line outside the cylinder (or a grazing corner thinner than the
+    # floor) and surfaces as SolverError
     lo = phi + 2.0 * DELTA_MIN
     hi = phi + 2.0 * math.pi - 2.0 * DELTA_MIN
-    phi1 = _solve_increasing(residual, slope, lo, hi, xp.max(xp.abs(p)))
+    phi1 = _solve_increasing(fdf, lo, hi, xp.abs(p), guess)
     delta = 0.5 * (phi1 - phi)
     h, dh, _ = spec.jet(0.5 * (phi + phi1))
     return h * xp.cos(delta) + dh * xp.sin(delta), phi1
@@ -228,18 +222,17 @@ def inverse_map(spec: SupportSpec, line: LineCoord) -> LineCoord:
     p1, phi1 = float(line.p), float(line.phi)
     _check_inside(spec, p1, phi1)
 
-    def residual(phi0):
+    def fdf(phi0):
         # outgoing momentum at the bounce (phi0, phi1), increasing in phi0
+        # with slope S12
         delta = 0.5 * (phi1 - phi0)
-        h, dh, _ = spec.jet(0.5 * (phi0 + phi1))
-        return (h * math.cos(delta) + dh * math.sin(delta)) - p1
-
-    def slope(phi0):
-        return s_derivatives(spec, phi0, phi1).s12
+        h, dh, ddh = spec.jet(0.5 * (phi0 + phi1))
+        s = math.sin(delta)
+        return (h * math.cos(delta) + dh * s) - p1, 0.5 * (ddh + h) * s
 
     lo = phi1 - 2.0 * math.pi + 2.0 * DELTA_MIN
     hi = phi1 - 2.0 * DELTA_MIN
-    phi0 = _solve_increasing(residual, slope, lo, hi, abs(p1))
+    phi0 = _solve_increasing(fdf, lo, hi, abs(p1))
     delta = 0.5 * (phi1 - phi0)
     h, dh, _ = spec.jet(0.5 * (phi0 + phi1))
     return LineCoord(h * math.cos(delta) - dh * math.sin(delta), phi0)
@@ -263,15 +256,12 @@ def line_to_chart(spec: SupportSpec, line: LineCoord) -> BoundaryCoord:
     p, phi = float(line.p), float(line.phi)
     _check_inside(spec, p, phi)
 
-    def residual(delta):
-        h, dh, _ = spec.jet(phi - delta)
-        return p - (h * math.cos(delta) + dh * math.sin(delta))
+    def fdf(delta):
+        h, dh, ddh = spec.jet(phi - delta)
+        s = math.sin(delta)
+        return p - (h * math.cos(delta) + dh * s), (h + ddh) * s
 
-    def slope(delta):
-        return spec.jet(phi - delta).rho * math.sin(delta)
-
-    delta = _solve_increasing(residual, slope, DELTA_MIN, math.pi - DELTA_MIN,
-                              abs(p))
+    delta = _solve_increasing(fdf, DELTA_MIN, math.pi - DELTA_MIN, abs(p))
     return BoundaryCoord(phi - delta, delta)
 
 
@@ -292,16 +282,15 @@ def geometric_reflect(spec: SupportSpec, start_psi, delta) -> BoundaryCoord:
     ex = -xp.sin(_reduce(angle))
     ey = xp.cos(_reduce(angle))
 
-    def cross(psi1):
-        x1, y1 = boundary_point(spec, psi1)
-        return ex * (y1 - y0) - ey * (x1 - x0)
-
-    def dcross(psi1):
+    def fdf(psi1):
         # gamma'(psi1) = rho(psi1) t(psi1)
-        return spec.jet(psi1).rho * xp.sin(psi1 - angle)
+        jet = spec.jet(psi1)
+        x1, y1 = _gamma(jet, psi1, xp)
+        return (ex * (y1 - y0) - ey * (x1 - x0),
+                jet.rho * xp.sin(psi1 - angle))
 
-    scale = 1.0 + xp.max(xp.hypot(x0, y0))
-    psi1 = _solve_increasing(cross, dcross, angle, angle + math.pi, scale)
+    psi1 = _solve_increasing(fdf, angle, angle + math.pi,
+                             1.0 + xp.hypot(x0, y0), angle + delta)
     delta1 = psi1 - angle
     if not xp.all(delta1 >= DELTA_MIN):
         raise GrazingRay(f"image incidence angle {delta1} below floor")

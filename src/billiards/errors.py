@@ -30,12 +30,13 @@ class NoRealCaustic(BilliardError):
 
 
 class SolverError(BilliardError):
-    """Root bracketing or polishing failed; usually signals an invalid table."""
+    """The root solver did not meet its floor within its iteration cap;
+    usually signals an invalid table or a line outside the cylinder."""
 
 
 class SpecError(ValueError):
-    """A table spec that does not parse: not an object, unknown type, or a
-    non-numeric field."""
+    """A table spec that does not parse: not an object, unknown type, a
+    non-numeric or non-finite field, or a malformed d_modes row."""
 
 
 class AliasingWarning(UserWarning):

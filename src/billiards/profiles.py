@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import SpecError
+
 
 TAU = 2.0 * math.pi
 
@@ -32,8 +34,7 @@ vars(_FLOATS).update(
     sin=math.sin, cos=math.cos, sqrt=math.sqrt, arccos=math.acos,
     hypot=math.hypot, abs=abs, sign=_sign, maximum=max,
     where=lambda cond, a, b: a if cond else b,
-    clip=lambda x, lo, hi: min(max(x, lo), hi),
-    all=bool, any=bool, min=lambda x: x, max=lambda x: x)
+    all=bool, min=lambda x: x, max=lambda x: x)
 
 
 def _xp(x):
@@ -144,6 +145,23 @@ def validate_profile(profile, grid_n: int = 1024) -> float:
     return margin
 
 
+def _mode_row(row) -> tuple[int, float, float]:
+    n, c, s = row
+    clean = int(n), float(c), float(s)
+    if clean[0] != n or not all(math.isfinite(a) for a in clean[1:]):
+        raise ValueError(f"{row!r} is not an integer n and two finite "
+                         "amplitudes")
+    return clean
+
+
 def profile_from_modes(d_modes) -> AngleProfile:
-    """Build an AngleProfile from [[n, cos_amp, sin_amp], ...] rows."""
-    return AngleProfile(tuple((int(n), float(c), float(s)) for n, c, s in d_modes))
+    """Build an AngleProfile from [[n, cos_amp, sin_amp], ...] rows.
+
+    A row that is not an integer n and two finite amplitudes raises
+    SpecError; a parsed but inadmissible n raises ValueError.
+    """
+    try:
+        rows = tuple(_mode_row(row) for row in d_modes)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SpecError(f"d_modes row does not parse: {exc}") from exc
+    return AngleProfile(rows)

@@ -52,6 +52,18 @@ class EllipseTable:
     def __post_init__(self):
         if not (self.a >= self.b > 0.0):
             raise ValueError(f"need a >= b > 0, got a={self.a}, b={self.b}")
+        # jet squares g' ~ a^2 - b^2 and divides by 4 g h, which runs from
+        # 4 b^3 (g's computed minimum times b) to 4 a^3: all of these must
+        # stay finite and nonzero in double precision
+        aa = self.a * self.a
+        bb = self.b * self.b
+        half = 0.5 * (aa - bb)
+        if not (math.isfinite(4.0 * half * half)
+                and math.isfinite(4.0 * aa * self.a)
+                and (0.5 * (aa + bb) - half) * self.b > 0.0):
+            raise ValueError(f"semi-axes a={self.a}, b={self.b} leave double "
+                             "precision: the jet would overflow, underflow "
+                             "or lose b^2 against a^2")
 
     def jet(self, psi) -> Jet2:
         xp = _xp(psi)
@@ -203,17 +215,21 @@ def perimeter(spec: SupportSpec) -> float:
 
 def _number(value, name: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError as exc:
         raise SpecError(f"{name} is not a number: {value!r}") from exc
+    if not math.isfinite(number):
+        raise SpecError(f"{name} is not finite: {value!r}")
+    return number
 
 
 def table_from_dict(data: dict) -> SupportSpec:
     """Build a table from its JSON form.
 
     A spec that does not parse raises SpecError (not an object, unknown
-    type, non-numeric field), KeyError (missing field) or TypeError; one
-    that parses into an inadmissible table raises ValueError.
+    type, non-numeric or non-finite field, malformed d_modes row),
+    KeyError (missing field) or TypeError; one that parses into an
+    inadmissible table raises ValueError.
     """
     if not isinstance(data, dict):
         raise SpecError(f"expected a JSON object, got {type(data).__name__}")

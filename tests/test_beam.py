@@ -10,6 +10,7 @@ from billiards.billmap import (BoundaryCoord, LineCoord, SDerivatives,
 from billiards.errors import MonotonicityBreak
 from billiards.fourperiodic import invariant_curve_state
 from billiards.sampling import scan_starts
+from billiards.supportfn import EllipseTable
 
 
 def caustic_line(lam, phi, a=2.0, b=1.0):
@@ -168,6 +169,27 @@ def test_detect_conjugate_none_on_ellipse_region(ellipse21,
     _, _, p, phi = scan_starts(ellipse21, ellipse21_profile, 100, seed=9)
     detections = conjugate_scan(ellipse21, p, phi, 2000)
     assert np.all(detections < 0)
+
+
+def test_conjugate_scan_warm_steps_stay_cheap(ellipse21, ellipse21_profile,
+                                             monkeypatch):
+    # each scan step warm-starts the solver at the delta-conserving guess;
+    # a fall back to cold bracketing would cost 16 or more jets per step
+    calls = [0]
+    jet = EllipseTable.jet
+
+    def counted(self, psi):
+        calls[0] += 1
+        return jet(self, psi)
+
+    monkeypatch.setattr(EllipseTable, "jet", counted)
+    _, _, p, phi = scan_starts(ellipse21, ellipse21_profile, 256, seed=42)
+    conjugate_scan(ellipse21, p, phi, 1)
+    cold = calls[0]
+    calls[0] = 0
+    detections = conjugate_scan(ellipse21, p, phi, 101)
+    assert np.all(detections < 0)
+    assert (calls[0] - cold) / 100 <= 10
 
 
 def test_detect_conjugate_found_on_mode6_table(mode6_table, mode6_profile):

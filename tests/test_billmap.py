@@ -9,7 +9,7 @@ from billiards.billmap import (BoundaryCoord, LineCoord, boundary_point,
                                geometric_reflect, half_turn, inverse_map,
                                jacobian_check_batch, line_to_chart, p_of,
                                s_derivatives)
-from billiards.errors import GrazingRay, OutsideCylinder
+from billiards.errors import GrazingRay, OutsideCylinder, SolverError
 from billiards.profiles import ellipse_profile
 from billiards.sampling import SplitMix64, random_interior_lines
 
@@ -268,12 +268,29 @@ def test_oracle_equivalence_on_grid(spec_name, request):
 
 def test_batch_matches_scalar(ellipse21):
     # floats and arrays run one solver, so each entry is bit for bit the
-    # float result
+    # float result, cold or warm started
     p, phi = random_interior_lines(ellipse21, 32, 3)
     p1, phi1 = forward_map_batch(ellipse21, p, phi)
+    guess = phi + np.linspace(0.5, 5.5, 32)
+    p1_warm, phi1_warm = forward_map_batch(ellipse21, p, phi, guess)
     for i in range(32):
         scalar = forward_map(ellipse21, LineCoord(p[i], phi[i]))
         assert (p1[i], phi1[i]) == (scalar.p, scalar.phi)
+        warm = forward_map_batch(ellipse21, float(p[i]), float(phi[i]),
+                                 float(guess[i]))
+        assert (p1_warm[i], phi1_warm[i]) == warm
+    assert np.max(np.abs(phi1_warm - phi1)) <= 1e-9
+
+
+def test_forward_map_batch_off_cylinder_entry_raises(ellipse21):
+    # p = 3 exceeds h <= 2 on the (2,1) ellipse: that entry's residual
+    # never meets the floor, so the iteration cap surfaces as SolverError
+    p, phi = random_interior_lines(ellipse21, 8, 3)
+    p[5] = 3.0
+    with pytest.raises(SolverError):
+        forward_map_batch(ellipse21, p, phi)
+    with pytest.raises(SolverError):
+        forward_map_batch(ellipse21, 3.0, float(phi[5]))
 
 
 @pytest.mark.parametrize("spec_name", ["circle", "ellipse21", "mode6_table"])

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -46,10 +47,26 @@ def test_validate_fourier_curvature_failure(write_spec, capsys):
 
 
 def test_validate_rejects_inadmissible_profile_modes(write_spec, capsys):
-    path = write_spec("badmode.json", {"type": "profile", "R": 1.0,
-                                       "d_modes": [[3, 0.1, 0]]})
-    assert main(["table", "validate", path]) == 1
-    assert "n = 2 (mod 4)" in capsys.readouterr().err
+    for n in (3, 4):
+        path = write_spec("badmode.json", {"type": "profile", "R": 1.0,
+                                           "d_modes": [[n, 0.1, 0]]})
+        assert main(["table", "validate", path]) == 1
+        assert "n = 2 (mod 4)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data, code, message", [
+    ({"type": "ellipse", "a": 1e308, "b": 1}, 1, "leave double precision"),
+    ({"type": "ellipse", "a": math.inf, "b": 1}, 2,
+     "cannot parse table spec"),
+], ids=["a-overflows", "a-infinite"])
+def test_validate_extreme_axes_refused_without_warnings(write_spec, capsys,
+                                                        data, code, message):
+    # refused before any evaluation: no overflow or NaN RuntimeWarning
+    path = write_spec("extreme.json", data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["table", "validate", path]) == code
+    assert message in capsys.readouterr().err
 
 
 def test_validate_malformed_json_exits_2(tmp_path, capsys):
@@ -62,6 +79,9 @@ def test_validate_malformed_json_exits_2(tmp_path, capsys):
     [{"type": "ellipse", "a": 2, "b": 1}],
     {"a": "x"},
     {"type": "ellipse", "a": "x", "b": 1},
+    {"type": "profile", "R": 1, "d_modes": [["x", 0.1, 0]]},
+    {"type": "profile", "R": 1, "d_modes": [[2, 0.1]]},
+    {"type": "profile", "R": 1, "d_modes": [[2.7, 0.1, 0]]},
 ])
 def test_validate_unparseable_spec_exits_2(write_spec, capsys, data):
     path = write_spec("unparseable.json", data)
