@@ -84,6 +84,11 @@ def conjugate_scan(spec: SupportSpec, p0, phi0, max_steps: int):
 
     One start as floats gives an int, many as arrays give an int array:
     the crossing step per start, -1 when none within max_steps.
+
+    Only live starts are stepped: a start that crosses leaves the batch,
+    and the scan ends when none is left.  Every step works entry by
+    entry, so the result is the same as stepping all starts to the end,
+    and a start that has crossed can no longer fail the others.
     """
     xp = _xp(phi0)
     p, phi = p0, phi0
@@ -104,10 +109,15 @@ def conjugate_scan(spec: SupportSpec, p0, phi0, max_steps: int):
         p, phi = p1, phi1
         sign = xp.sign(dphi)
         if step >= 2:
-            crossing = (detected < 0) & ((sign == 0.0) | (sign * prev_sign < 0.0))
-            detected = xp.where(crossing, step, detected)
-            if xp.all(detected >= 0):
-                break
+            crossing = (sign == 0.0) | (sign * prev_sign < 0.0)
+            if xp.all(crossing):    # the last live starts; a float start ends here
+                return xp.where(detected < 0, step, detected)
+            if xp.any(crossing):    # arrays only
+                # the live starts are the entries still at -1, in order
+                detected[detected < 0] = xp.where(crossing, step, -1)
+                live = ~crossing
+                p, phi, dp, dphi, sign, guess = (
+                    a[live] for a in (p, phi, dp, dphi, sign, guess))
         prev_sign = sign
     return detected
 

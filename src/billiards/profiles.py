@@ -34,7 +34,7 @@ vars(_FLOATS).update(
     sin=math.sin, cos=math.cos, sqrt=math.sqrt, arccos=math.acos,
     hypot=math.hypot, abs=abs, sign=_sign, maximum=max,
     where=lambda cond, a, b: a if cond else b,
-    all=bool, min=lambda x: x, max=lambda x: x)
+    all=bool, any=bool, min=lambda x: x, max=lambda x: x)
 
 
 def _xp(x):

@@ -24,6 +24,16 @@ from .profiles import (AngleProfile, EllipseProfile, Profile, _reduce, _xp,
                        profile_from_modes)
 
 VALIDATION_GRID = 512
+# largest |c0|, Fourier coefficient or profile radius: the reduction chain
+# works with R^4 and verify with h^2, so at 1e64 the fourth power (1e256)
+# leaves the dimensionless factors 1e52 of double range
+MAX_SIZE = 1e64
+
+
+def _check_size(value: float, name: str) -> None:
+    if not abs(value) <= MAX_SIZE:
+        raise ValueError(f"{name} = {value} exceeds {MAX_SIZE:g}: the table "
+                         "would leave double precision")
 
 
 class Jet2(NamedTuple):
@@ -97,6 +107,9 @@ class FourierTable:
     def __post_init__(self):
         object.__setattr__(self, "cos_coeffs", tuple(float(c) for c in self.cos_coeffs))
         object.__setattr__(self, "sin_coeffs", tuple(float(s) for s in self.sin_coeffs))
+        _check_size(self.c0, "c0")
+        for c in self.cos_coeffs + self.sin_coeffs:
+            _check_size(c, "coefficient")
 
     def jet(self, psi) -> Jet2:
         xp = _xp(psi)
@@ -128,6 +141,7 @@ class ProfileTable:
     def __post_init__(self):
         if not self.radius > 0.0:
             raise ValueError(f"radius must be positive, got {self.radius}")
+        _check_size(self.radius, "radius")
 
     def jet(self, psi) -> Jet2:
         xp = _xp(psi)
@@ -192,7 +206,11 @@ def symmetry_defect(spec: SupportSpec, grid_n: int = VALIDATION_GRID) -> float:
 
 def is_centrally_symmetric(spec: SupportSpec, grid_n: int = VALIDATION_GRID,
                            tol: float = 1e-9) -> bool:
-    return symmetry_defect(spec, grid_n) <= tol
+    """symmetry_defect within tol * max(1, max h) over the grid: on a
+    symmetric table the defect is rounding, which grows with h."""
+    psi = np.linspace(0.0, 2.0 * math.pi, grid_n, endpoint=False)
+    size = max(1.0, float(np.max(spec.jet(psi).h)))
+    return symmetry_defect(spec, grid_n) <= tol * size
 
 
 def arclength_of_psi(spec: SupportSpec, psi: float) -> float:

@@ -6,7 +6,8 @@ import pytest
 from billiards.beam import (TangentVector, conjugate_scan, monotone_bounds,
                             orbit_lines, push_tangent, riccati_step)
 from billiards.billmap import (BoundaryCoord, LineCoord, SDerivatives,
-                               chart_to_line, forward_map, s_derivatives)
+                               chart_to_line, forward_map, forward_map_batch,
+                               s_derivatives)
 from billiards.errors import MonotonicityBreak
 from billiards.fourperiodic import invariant_curve_state
 from billiards.sampling import scan_starts
@@ -200,6 +201,43 @@ def test_detect_conjugate_found_on_mode6_table(mode6_table, mode6_profile):
     idx = int(np.argmax(detections >= 0))
     step = conjugate_scan(mode6_table, float(p[idx]), float(phi[idx]), 2000)
     assert step == detections[idx]
+
+
+def test_conjugate_scan_entries_equal_float_scans(mode6_table, mode6_profile):
+    # each start, detected or not, gets the step its own float scan gives
+    _, _, p, phi = scan_starts(mode6_table, mode6_profile, 64, seed=9)
+    detections = conjugate_scan(mode6_table, p, phi, 200)
+    assert np.any(detections >= 0) and np.any(detections < 0)
+    singles = [conjugate_scan(mode6_table, float(p[i]), float(phi[i]), 200)
+               for i in range(64)]
+    assert detections.tolist() == singles
+
+
+@pytest.mark.parametrize("table, profile", [
+    ("mode6_table", "mode6_profile"), ("ellipse21", "ellipse21_profile"),
+])
+def test_conjugate_scan_steps_only_live_starts(table, profile, request,
+                                               monkeypatch):
+    # a start that has detected leaves the batch: the map is computed for
+    # exactly the steps up to each start's detection (max_steps if none)
+    spec = request.getfixturevalue(table)
+    widths = []
+
+    def counted(spec, p, phi, guess=None):
+        widths.append(p.size)
+        return forward_map_batch(spec, p, phi, guess)
+
+    monkeypatch.setattr("billiards.beam.forward_map_batch", counted)
+    max_steps = 100
+    _, _, p, phi = scan_starts(spec, request.getfixturevalue(profile), 64,
+                               seed=42)
+    detections = conjugate_scan(spec, p, phi, max_steps)
+    live_steps = sum(int(s) if s >= 0 else max_steps for s in detections)
+    assert sum(widths) == live_steps
+    if table == "ellipse21":
+        assert live_steps == 64 * max_steps
+    else:
+        assert np.any(detections >= 0)
 
 
 def test_circle_vertical_never_returns(circle):

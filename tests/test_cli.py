@@ -69,6 +69,51 @@ def test_validate_extreme_axes_refused_without_warnings(write_spec, capsys,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data", [
+    {"type": "profile", "R": 1e200, "d_modes": [[2, 0.1, 0]]},
+    {"type": "fourier", "c0": 1e200, "cos": [0, 1e199]},
+    {"type": "fourier", "c0": 1, "cos": [0, 1e199]},
+], ids=["profile-R", "fourier-c0", "fourier-coefficient"])
+@pytest.mark.parametrize("command, options", [
+    (["table", "validate"], []), (["integral"], []),
+    (["verify"], ["--suite", "all"]),
+], ids=["validate", "integral", "verify"])
+def test_oversized_table_refused_without_warnings(write_spec, capsys, data,
+                                                  command, options):
+    # refused at construction: no traceback, no overflow RuntimeWarning,
+    # no NaN residuals
+    path = write_spec("huge.json", data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(command + [path] + options) == 1
+    captured = capsys.readouterr()
+    assert "error: " in captured.err
+    assert "exceeds" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("data", [
+    {"type": "ellipse", "a": 2e8, "b": 1e8},
+    {"type": "profile", "R": 1e8, "d_modes": [[2, 0.1, 0]]},
+], ids=["ellipse", "profile"])
+def test_validate_large_symmetric_table_passes(write_spec, capsys, data):
+    # the symmetry defect is rounding of h ~ 1e8, far above 1e-9 absolute
+    path = write_spec("large.json", data)
+    assert main(["table", "validate", path]) == 0
+    assert "central-symmetry: PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("size", [1.0, 1e8])
+def test_validate_odd_harmonic_fails_at_any_size(write_spec, capsys, size):
+    # a convex table with a cos 3psi term: h(psi + pi) - h(psi) = -0.1 size
+    path = write_spec("odd.json", {"type": "fourier", "c0": size,
+                                   "cos": [0, 0, 0.05 * size]})
+    assert main(["table", "validate", path]) == 1
+    out = capsys.readouterr().out
+    assert "rho-positivity: PASS" in out
+    assert "central-symmetry: FAIL" in out
+
+
 def test_validate_malformed_json_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
