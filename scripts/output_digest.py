@@ -1,0 +1,89 @@
+"""SHA-256 digests of the numerical outputs, to compare two checkouts.
+
+    python3 scripts/output_digest.py
+
+Run from the root of a checkout; the package is imported from its `src/`.
+For each table of the benchmark (`perfbench/workloads.py`) it prints two
+digests:
+
+- `maps`: the `p`/`phi` bytes of 200 cold `forward_map_batch` steps from
+  the 256 seed-42 `scan_starts`, then `jacobian_check_batch` on 1000
+  `random_interior_lines` (seed 100 for the first table, 101 for the next,
+  and so on). A solve that fails ends that table's stream with the error
+  text, which is hashed too.
+- `integral`: the stdout bytes of `billiard integral` at `--n` 1024, 4096
+  and 65536.
+
+A change that leaves the numerics alone prints the same lines on the
+parent and on the change. The bits depend on the numpy and libm build, so
+compare two checkouts on one machine; this is a script and not a test for
+that reason.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from billiards.billmap import forward_map_batch, jacobian_check_batch  # noqa: E402
+from billiards.cli import main as cli_main  # noqa: E402
+from billiards.errors import SolverError  # noqa: E402
+from billiards.fourperiodic import table_profile  # noqa: E402
+from billiards.sampling import random_interior_lines, scan_starts  # noqa: E402
+from billiards.supportfn import table_from_dict  # noqa: E402
+from workloads import TABLE_SPECS  # noqa: E402
+
+STARTS, STEPS, SCAN_SEED = 256, 200, 42
+LINES, LINE_SEED = 1000, 100
+INTEGRAL_N = (1024, 4096, 65536)
+
+
+def maps_digest(spec, line_seed: int) -> str:
+    digest = hashlib.sha256()
+    try:
+        _, _, p, phi = scan_starts(spec, table_profile(spec), STARTS, SCAN_SEED)
+        for _ in range(STEPS):
+            p, phi = forward_map_batch(spec, p, phi)
+            digest.update(p.tobytes())
+            digest.update(phi.tobytes())
+        p, phi = random_interior_lines(spec, LINES, line_seed)
+        digest.update(jacobian_check_batch(spec, p, phi).tobytes())
+    except SolverError as exc:
+        digest.update(f"SolverError: {exc}".encode())
+        return f"{digest.hexdigest()} (SolverError: {exc})"
+    return digest.hexdigest()
+
+
+def integral_digest(spec_path: Path) -> str:
+    digest = hashlib.sha256()
+    for n in INTEGRAL_N:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli_main(["integral", str(spec_path), "--n", str(n)])
+        digest.update(f"exit {code}\n{out.getvalue()}".encode())
+    return digest.hexdigest()
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, (name, data) in enumerate(TABLE_SPECS.items()):
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps(data), encoding="utf-8")
+            spec = table_from_dict(data)
+            print(f"{name:10s} maps      {maps_digest(spec, LINE_SEED + i)}")
+            print(f"{name:10s} integral  {integral_digest(path)}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -30,8 +30,8 @@ from .supportfn import (EllipseTable, FourierTable, Jet2, ProfileTable,
                         is_centrally_symmetric, load_table,
                         perimeter, table_from_dict, table_from_profile,
                         table_to_dict, validate_table)
-from .wirtinger import (HopfDefect, IntegralReport, MuFunction,
-                        PeriodicSamples, equality_reconstruct,
-                        hopf_identity_ellipse, integrand_U, integrand_inner,
-                        periodic_quadrature, reduction_chain, spectral_gap,
-                        spectral_derivative, split_U)
+from .wirtinger import (HopfDefect, IntegralReport, PeriodicSamples,
+                        equality_reconstruct, hopf_identity_ellipse,
+                        integrand_U, integrand_inner, periodic_quadrature,
+                        reduction_chain, spectral_gap, spectral_derivative,
+                        split_U)

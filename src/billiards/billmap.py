@@ -156,20 +156,25 @@ def _solve_increasing(fdf, lo, hi, scale, guess=None):
         x = xp.where((lo < guess) & (guess < hi), guess, x)
     tol = RESIDUAL_TOL * (1.0 + scale)
     frozen = False
+    last = math.inf
     for _ in range(MAX_ITERATIONS):
         fx, slope = fdf(x)
-        met = abs(fx) <= tol + _granularity(x, slope)
+        res = abs(fx)
+        met = res <= tol + _granularity(x, slope)
         step = x - fx / slope
         lo = xp.where(fx < 0.0, x, lo)
         hi = xp.where(fx > 0.0, x, hi)
-        # an entry that meets the floor takes this last step, then freezes
-        newton = (lo <= step) & (step <= hi)
+        # Newton only while the residual falls, which breaks a 2-cycle of
+        # in-bracket steps; an entry that meets the floor takes this last
+        # step, then freezes
+        newton = (lo <= step) & (step <= hi) & (met | (res < last))
         x = xp.where(frozen, x, xp.where(newton, step, 0.5 * (lo + hi)))
         frozen = frozen | met
         if xp.all(frozen):
             return x
+        last = res
     raise SolverError(f"no root within {MAX_ITERATIONS} iterations, residual "
-                      f"{xp.max(xp.where(frozen, 0.0, abs(fx))):.3g}")
+                      f"{xp.max(xp.where(frozen, 0.0, res)):.3g}")
 
 
 # --- the map in line coordinates -------------------------------------------

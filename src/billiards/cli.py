@@ -30,8 +30,6 @@ from .supportfn import EllipseTable, ProfileTable, is_centrally_symmetric, \
     load_table, symmetry_defect, table_to_dict, validate_table
 from .wirtinger import reduction_chain
 
-SYMMETRY_TOL = 1e-9
-
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
@@ -124,7 +122,7 @@ def cmd_table_validate(args) -> int:
         failed = True
 
     defect = symmetry_defect(spec)
-    if is_centrally_symmetric(spec, tol=SYMMETRY_TOL):
+    if is_centrally_symmetric(spec):
         print(f"central-symmetry: PASS (defect {defect:.3g})")
     else:
         print(f"central-symmetry: FAIL (|h(psi+pi) - h(psi)| reaches "

@@ -144,15 +144,15 @@ class ProfileTable:
         _check_size(self.radius, "radius")
 
     def jet(self, psi) -> Jet2:
-        xp = _xp(psi)
-        d, dp, ddp = self.profile.jet(psi)
-        sd = xp.sin(d)
-        cd = xp.cos(d)
-        R = self.radius
-        h = R * sd
-        dh = R * cd * dp
-        ddh = R * (cd * ddp - sd * dp * dp)
-        return Jet2(h, dh, ddh)
+        return _profile_support_jet(self.radius, *self.profile.jet(psi))
+
+
+def _profile_support_jet(R: float, d, dp, ddp) -> Jet2:
+    """The 2-jet of h = R sin d from the profile's 2-jet (d, d', d'')."""
+    xp = _xp(d)
+    sd = xp.sin(d)
+    cd = xp.cos(d)
+    return Jet2(R * sd, R * cd * dp, R * (cd * ddp - sd * dp * dp))
 
 
 SupportSpec = EllipseTable | FourierTable | ProfileTable

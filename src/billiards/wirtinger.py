@@ -38,8 +38,8 @@ import numpy as np
 from .billmap import LineCoord, forward_map, s_derivatives
 from .errors import AliasingWarning, NoRealCaustic
 from .profiles import _xp, validate_profile
-from .supportfn import ProfileTable, SupportSpec, ellipse_support, \
-    validate_table
+from .supportfn import ProfileTable, SupportSpec, _profile_support_jet, \
+    ellipse_support, validate_table
 
 
 # --- periodic grids ----------------------------------------------------------
@@ -119,10 +119,13 @@ def integrand_U(spec: SupportSpec, profile, psi):
 
     Closed form with weights (d/2 - sin 2d / 4) and (d/8 - sin 4d / 32).
     """
-    xp = _xp(psi)
-    h, dh, ddh = spec.jet(psi)
+    return _u_from_jets(spec.jet(psi), profile.jet(psi)[0])
+
+
+def _u_from_jets(jet, d):
+    xp = _xp(d)
+    h, dh, ddh = jet
     rho = h + ddh
-    d = profile.jet(psi)[0]
     w_low = 0.5 * d - 0.25 * xp.sin(2.0 * d)
     w_high = 0.125 * d - xp.sin(4.0 * d) / 32.0
     return -h * dh * dh * rho * w_low + (ddh * h * h + 3.0 * h * dh * dh) * rho * w_high
@@ -137,11 +140,7 @@ def split_U(profile, R: float, psi):
     """
     xp = _xp(psi)
     d, dp, ddp = profile.jet(psi)
-    sd = xp.sin(d)
-    cd = xp.cos(d)
-    h = R * sd
-    dh = R * cd * dp
-    ddh = R * (cd * ddp - sd * dp * dp)
+    h, dh, ddh = _profile_support_jet(R, d, dp, ddp)
     rho = h + ddh
     u1 = 0.25 * h * dh * dh * rho * xp.sin(2.0 * d)
     u2 = -h * rho * (3.0 * dh * dh + h * ddh) * xp.sin(4.0 * d) / 32.0
@@ -211,8 +210,11 @@ def _w_combined_d(d, dp, ddp, R):
 
 def mu_jet(profile, psi):
     """mu = cos 2d and its chain-rule derivatives at psi."""
-    xp = _xp(psi)
-    d, dp, ddp = profile.jet(psi)
+    return _mu_from_jet(*profile.jet(psi))
+
+
+def _mu_from_jet(d, dp, ddp):
+    xp = _xp(d)
     s2 = xp.sin(2.0 * d)
     mu = xp.cos(2.0 * d)
     dmu = -2.0 * s2 * dp
@@ -223,24 +225,15 @@ def mu_jet(profile, psi):
 def integrand_P(profile, R: float, psi):
     """P = (pi R^4 / 512)((mu'')^2 - 4 (mu')^2)."""
     _, dmu, ddmu = mu_jet(profile, psi)
+    return _p_from_mu(dmu, ddmu, R)
+
+
+def _p_from_mu(dmu, ddmu, R):
     return (math.pi * R**4 / 512.0) * (ddmu * ddmu - 4.0 * dmu * dmu)
 
 
-@dataclass(frozen=True)
-class MuFunction:
-    """mu = cos 2d on a period-pi grid with analytic derivatives."""
-
-    psi: np.ndarray
-    mu: np.ndarray
-    dmu: np.ndarray
-    ddmu: np.ndarray
-
-    @classmethod
-    def from_profile(cls, profile, n: int) -> "MuFunction":
-        validate_profile(profile)  # 0 < d < pi/2 is what keeps |mu| < 1
-        psi = np.arange(n) * (math.pi / n)
-        mu, dmu, ddmu = mu_jet(profile, psi)
-        return cls(psi=psi, mu=mu, dmu=dmu, ddmu=ddmu)
+def _pi_grid(n: int) -> np.ndarray:
+    return np.arange(n) * (math.pi / n)
 
 
 def spectral_gap(profile, R: float, n: int) -> float:
@@ -249,16 +242,19 @@ def spectral_gap(profile, R: float, n: int) -> float:
     With mu = sum a_k cos 2k psi + b_k sin 2k psi on period pi, the gap is
     (pi R^4/512) * (pi/2) * sum ((2k)^4 - 4 (2k)^2)(a_k^2 + b_k^2).
     """
-    mu = MuFunction.from_profile(profile, n).mu
-    spectrum = np.fft.rfft(mu) / n
-    total = 0.0
-    for k in range(1, n // 2 + 1):
-        if k < n // 2:
-            amp2 = 4.0 * (spectrum[k].real**2 + spectrum[k].imag**2)
-        else:
-            amp2 = spectrum[k].real**2  # Nyquist carries no factor 2
-        freq2 = (2.0 * k) ** 2
-        total += (freq2 * freq2 - 4.0 * freq2) * amp2
+    validate_profile(profile)  # 0 < d < pi/2 is what keeps |mu| < 1
+    return _gap_from_mu(mu_jet(profile, _pi_grid(n))[0], R)
+
+
+def _gap_from_mu(mu, R):
+    n = mu.shape[0]
+    spectrum = np.fft.rfft(mu)[1:] / n
+    amp2 = 4.0 * (spectrum.real**2 + spectrum.imag**2)
+    amp2[-1] = spectrum[-1].real**2  # Nyquist carries no factor 2
+    freq2 = (2.0 * np.arange(1, n // 2 + 1)) ** 2
+    # summed in mode order, k = 1 first: cumsum adds sequentially, where
+    # np.sum would pair terms up and move the last digits
+    total = float(np.cumsum((freq2 * freq2 - 4.0 * freq2) * amp2)[-1])
     return (math.pi * R**4 / 512.0) * (math.pi / 2.0) * total
 
 
@@ -328,14 +324,15 @@ def reduction_chain(profile, R: float, n: int = 1024, *,
     if require_convex:
         validate_table(table)
 
-    psi = np.arange(n) * (math.pi / n)
-    d, dp, ddp = profile.jet(psi)
+    # every stage reads the same profile samples: one jet on the grid
+    d, dp, ddp = profile.jet(_pi_grid(n))
+    mu, dmu, ddmu = _mu_from_jet(d, dp, ddp)
 
-    u_direct = integrand_U(table, profile, psi)
+    u_direct = _u_from_jets(_profile_support_jet(R, d, dp, ddp), d)
     u1, u2, u3 = _u_parts_d(d, dp, ddp, R)
     v1, v2, v3 = _v_parts_d(d, dp, ddp, R)
     w1, w2, w3 = _w_parts_d(d, dp, ddp, R)
-    p_vals = integrand_P(profile, R, psi)
+    p_vals = _p_from_mu(dmu, ddmu, R)
 
     I_U_direct = _quad_pi(u_direct)
     I_U = tuple(_quad_pi(u) for u in (u1, u2, u3))
@@ -348,8 +345,8 @@ def reduction_chain(profile, R: float, n: int = 1024, *,
     I_U_half = _quad_pi(u_direct[::2])
     I_P_half = _quad_pi(p_vals[::2])
 
-    mu_max = float(np.max(np.abs(np.cos(2.0 * d))))
-    gap_fft = spectral_gap(profile, R, n)
+    mu_max = float(np.max(np.abs(mu)))
+    gap_fft = _gap_from_mu(mu, R)
 
     integrals = (I_U_direct, *I_U, *I_V, *I_W, I_W_combined, I_P)
     if not all(math.isfinite(v) for v in integrals):

@@ -293,6 +293,27 @@ def test_forward_map_batch_off_cylinder_entry_raises(ellipse21):
         forward_map_batch(ellipse21, 3.0, float(phi[5]))
 
 
+# seed-42 scan start 149 on the mode-6 table after 42 cold steps: plain
+# Newton alternated between phi1 - phi = 0.52 and 1.97, both steps inside
+# the bracket, and stalled at residual 0.173; the true image is at 1.218
+MODE6_TWO_CYCLE = LineCoord(0.4466252710111893, 41.94930601494838)
+
+
+def test_forward_map_breaks_newton_two_cycle(mode6_table):
+    image = forward_map(mode6_table, MODE6_TWO_CYCLE)
+    bc = line_to_chart(mode6_table, MODE6_TWO_CYCLE)
+    oracle = chart_to_line(mode6_table,
+                           geometric_reflect(mode6_table, bc.psi, bc.delta))
+    assert abs(image.p - oracle.p) <= 1e-9
+    assert abs(image.phi - oracle.phi) <= 1e-9
+    assert image.phi - MODE6_TWO_CYCLE.phi == pytest.approx(1.2183, abs=1e-4)
+    # as one entry of an array the witness gives the same bits
+    p, phi = random_interior_lines(mode6_table, 8, 3)
+    p[5], phi[5] = MODE6_TWO_CYCLE
+    p1, phi1 = forward_map_batch(mode6_table, p, phi)
+    assert (p1[5], phi1[5]) == image
+
+
 @pytest.mark.parametrize("spec_name", ["circle", "ellipse21", "mode6_table"])
 def test_geometric_reflect_float_matches_array(spec_name, request):
     spec = request.getfixturevalue(spec_name)

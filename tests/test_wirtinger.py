@@ -8,8 +8,8 @@ from billiards.billmap import LineCoord, p_of, s_derivatives
 from billiards.errors import AliasingWarning, NoRealCaustic
 from billiards.fourperiodic import AngleProfile, ellipse_profile
 from billiards.supportfn import ProfileTable, ellipse_support
-from billiards.wirtinger import (MuFunction, PeriodicSamples,
-                                 equality_reconstruct, hopf_identity_ellipse,
+from billiards.wirtinger import (PeriodicSamples, equality_reconstruct,
+                                 hopf_identity_ellipse,
                                  integrand_P, integrand_U, integrand_inner,
                                  mu_jet, periodic_quadrature, reduction_chain,
                                  spectral_derivative, spectral_gap, split_U)
@@ -228,11 +228,78 @@ def test_wirtinger_gap_zero_only_on_ellipse_family(profile_zoo):
 
 
 def test_mu_function_invariant(ellipse21_profile):
-    mu = MuFunction.from_profile(ellipse21_profile, 256)
-    assert np.max(np.abs(mu.mu)) < 1.0
+    psi = np.arange(256) * (math.pi / 256)
+    assert np.max(np.abs(mu_jet(ellipse21_profile, psi)[0])) < 1.0
     # a profile escaping (0, pi/2) is rejected before mu is ever formed
     with pytest.raises(ValueError):
-        MuFunction.from_profile(AngleProfile(((2, 0.9, 0.0),)), 256)
+        spectral_gap(AngleProfile(((2, 0.9, 0.0),)), 1.0, 256)
+
+
+def spectral_gap_per_mode(profile, R, n):
+    """The per-mode loop spectral_gap once ran: the bit reference."""
+    psi = np.arange(n) * (math.pi / n)
+    spectrum = np.fft.rfft(mu_jet(profile, psi)[0]) / n
+    total = 0.0
+    for k in range(1, n // 2 + 1):
+        if k < n // 2:
+            amp2 = 4.0 * (spectrum[k].real**2 + spectrum[k].imag**2)
+        else:
+            amp2 = spectrum[k].real**2
+        freq2 = (2.0 * k) ** 2
+        total += (freq2 * freq2 - 4.0 * freq2) * amp2
+    return (math.pi * R**4 / 512.0) * (math.pi / 2.0) * total
+
+
+class NyquistProfile:
+    """d = pi/4 + 0.05 cos 64 psi: not admissible (64 = 0 mod 4), but on the
+    64-point grid it puts mu's energy on the Nyquist term, which admissible
+    profiles (mu in modes 2 mod 4) leave at rounding level."""
+
+    def jet(self, psi):
+        c, s = np.cos(64 * psi), np.sin(64 * psi)
+        return math.pi / 4 + 0.05 * c, -3.2 * s, -204.8 * c
+
+
+@pytest.mark.parametrize("n", [64, 1024, 65536])
+def test_spectral_gap_equals_per_mode_loop(profile_zoo, n):
+    for profile, radius in profile_zoo + [(NyquistProfile(), 1.0)]:
+        assert spectral_gap(profile, radius, n) \
+            == spectral_gap_per_mode(profile, radius, n)
+    mu = mu_jet(NyquistProfile(), np.arange(64) * (math.pi / 64))[0]
+    assert abs(np.fft.rfft(mu)[-1]) > 1.0
+
+
+@pytest.mark.parametrize("n", [64, 4096])
+def test_reduction_chain_equals_public_route(profile_zoo, n):
+    psi = np.arange(n) * (math.pi / n)
+    for profile, radius in profile_zoo:
+        report = reduction_chain(profile, radius, n)
+        table = ProfileTable(profile, radius)
+        assert report.I_U_direct == periodic_quadrature(PeriodicSamples(
+            integrand_U(table, profile, psi), math.pi))
+        assert report.I_P == periodic_quadrature(PeriodicSamples(
+            integrand_P(profile, radius, psi), math.pi))
+        assert report.gap_spectral == spectral_gap(profile, radius, n)
+
+
+def test_reduction_chain_evaluates_profile_once(profile_zoo, monkeypatch):
+    # every stage reads one set of samples; the validation grids (512 and
+    # 1024 points) are not counted
+    n = 4096
+    for profile, radius in profile_zoo:
+        calls = []
+        jet = type(profile).jet
+
+        def counting_jet(self, psi, jet=jet):
+            if np.shape(psi) == (n,):
+                calls.append(psi)
+            return jet(self, psi)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(type(profile), "jet", counting_jet)
+            reduction_chain(profile, radius, n)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], np.arange(n) * (math.pi / n))
 
 
 def test_derivative_oracle_on_chain_inputs(mode6_profile):
