@@ -11,8 +11,8 @@ digests:
   `random_interior_lines` (seed 100 for the first table, 101 for the next,
   and so on). A solve that fails ends that table's stream with the error
   text, which is hashed too.
-- `integral`: the stdout bytes of `billiard integral` at `--n` 1024, 4096
-  and 65536.
+- `integral`: the stdout bytes of `billiard integral` at `--n` 64, 1024,
+  4096 and 65536; at 64 the half-grid checks sum 32 samples.
 
 A change that leaves the numerics alone prints the same lines on the
 parent and on the change. The bits depend on the numpy and libm build, so
@@ -44,7 +44,7 @@ from workloads import TABLE_SPECS  # noqa: E402
 
 STARTS, STEPS, SCAN_SEED = 256, 200, 42
 LINES, LINE_SEED = 1000, 100
-INTEGRAL_N = (1024, 4096, 65536)
+INTEGRAL_N = (64, 1024, 4096, 65536)
 
 
 def maps_digest(spec, line_seed: int) -> str:

@@ -57,9 +57,13 @@ def push_tangent(spec: SupportSpec, tv: TangentVector) -> TangentVector:
     """
     image = forward_map(spec, tv.line)
     sd = s_derivatives(spec, tv.line.phi, image.phi)
-    dphi1 = (-tv.dp - sd.s11 * tv.dphi) / sd.s12
-    dp1 = sd.s12 * tv.dphi + sd.s22 * dphi1
-    return TangentVector(dp1, dphi1, image)
+    return TangentVector(*_push(sd, tv.dp, tv.dphi), image)
+
+
+def _push(sd: SDerivatives, dp, dphi):
+    """(dp1, dphi1), the pushed components; floats or arrays alike."""
+    dphi1 = (-dp - sd.s11 * dphi) / sd.s12
+    return sd.s12 * dphi + sd.s22 * dphi1, dphi1
 
 
 def monotone_bounds(spec: SupportSpec, prev: LineCoord, cur: LineCoord,
@@ -101,8 +105,7 @@ def conjugate_scan(spec: SupportSpec, p0, phi0, max_steps: int):
         p1, phi1 = forward_map_batch(spec, p, phi, guess)
         guess = 2.0 * phi1 - phi    # next phi if delta is conserved
         sd = s_derivatives(spec, phi, phi1)
-        dphi_next = (-dp - sd.s11 * dphi) / sd.s12
-        dp_next = sd.s12 * dphi + sd.s22 * dphi_next
+        dp_next, dphi_next = _push(sd, dp, dphi)
         norm = xp.maximum(xp.abs(dp_next), xp.abs(dphi_next))
         dp = dp_next / norm
         dphi = dphi_next / norm

@@ -22,8 +22,8 @@ and first pi-harmonic, i.e. on the ellipse family.
 Each intermediate integrand is implemented as its own fixed closed form
 rather than re-derived from the previous stage; the point of this module
 is to certify the chain numerically, which only means something if the
-stages stay independent.  Quadratures run compensated (fsum) because the
-integrals cancel between terms of magnitude R^4.
+stages stay independent.  Quadratures take the correctly rounded sum (by
+exact extraction: math.fsum's bits), as the integrals cancel at size R^4.
 """
 
 from __future__ import annotations
@@ -71,8 +71,31 @@ class PeriodicSamples:
 
 
 def periodic_quadrature(samples: PeriodicSamples) -> float:
-    """Rectangle rule on the periodic grid (spectrally accurate); fsum."""
-    return (samples.period / samples.n) * math.fsum(samples.values.tolist())
+    """Rectangle rule on the periodic grid (spectrally accurate) over the
+    correctly rounded sum, by exact extraction: the bits of math.fsum."""
+    return (samples.period / samples.n) * _exact_sum(samples.values)
+
+
+def _exact_sum(values: np.ndarray) -> float:
+    """math.fsum(values.tolist()), by error-free extraction (Rump, Ogita &
+    Oishi 2008): with |r| <= m < 2^e and 2^k >= n + 2, each level splits r
+    into q = (sigma + r) - sigma, sigma = 2^(e + k), a multiple of 2^-53
+    sigma with |q| <= 2^e that np.sum adds exactly, and the exact r - q.
+    Non-finite and near-overflow input goes to fsum whole."""
+    n = values.shape[0]
+    m = float(np.max(np.abs(values), initial=0.0))
+    if not m < 2.0**900:
+        return math.fsum(values.tolist())
+    k, r, parts = (n + 1).bit_length(), values, []
+    while True:
+        sigma = math.ldexp(1.0, math.frexp(m)[1] + k)
+        q = (sigma + r) - sigma
+        parts.append(float(np.sum(q)))
+        r = r - q
+        left = r != 0.0
+        if 16 * np.count_nonzero(left) <= n:    # fsum finishes the few left
+            return math.fsum(parts + r[left].tolist())
+        m = float(np.max(np.abs(r)))
 
 
 def spectral_derivative(samples: PeriodicSamples, order: int) -> PeriodicSamples:
@@ -300,8 +323,7 @@ class IntegralReport:
 
 
 def _quad_pi(values: np.ndarray) -> float:
-    n = values.shape[0]
-    return (math.pi / n) * math.fsum(values.tolist())
+    return (math.pi / values.shape[0]) * _exact_sum(values)
 
 
 def reduction_chain(profile, R: float, n: int = 1024, *,

@@ -1,14 +1,20 @@
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from billiards import wirtinger
 from billiards.billmap import LineCoord, p_of, s_derivatives
 from billiards.errors import AliasingWarning, NoRealCaustic
 from billiards.fourperiodic import AngleProfile, ellipse_profile
 from billiards.supportfn import ProfileTable, ellipse_support
-from billiards.wirtinger import (PeriodicSamples, equality_reconstruct,
+from billiards.wirtinger import (PeriodicSamples, _exact_sum,
+                                 equality_reconstruct,
                                  hopf_identity_ellipse,
                                  integrand_P, integrand_U, integrand_inner,
                                  mu_jet, periodic_quadrature, reduction_chain,
@@ -96,6 +102,81 @@ def test_periodic_quadrature_grid_doubling(ellipse21_profile):
         vals[n] = periodic_quadrature(
             PeriodicSamples(np.sin(2 * d) ** 2, math.pi))
     assert abs(vals[512] - vals[1024]) <= 1e-12
+
+
+# --- exact summation ------------------------------------------------------------
+
+# round-half-even ties: 1 + 2^-53 rounds down to 1, 1 + 3*2^-54 rounds up
+TIES = (1.0, 2.0**-53, 3 * 2.0**-54)
+SPECIALS = (math.nan, math.inf, -math.inf, 1.7e308, -1.7e308, 2.0**900)
+
+
+@st.composite
+def sum_arrays(draw):
+    """Float arrays of length 1..4096 built from a few drawn atoms: mixed
+    exponents, zeros of both signs, subnormals, ties at every scale, each x
+    possibly beside -x, and sometimes nan, inf or values near overflow."""
+    atoms = draw(st.lists(st.one_of(
+        st.floats(min_value=-2.0**899, max_value=2.0**899),
+        st.floats(min_value=-1e-300, max_value=1e-300),
+        st.sampled_from((0.0, -0.0, 5e-324, -5e-324)),
+        st.builds(math.ldexp, st.sampled_from(TIES), st.integers(-1070, 890)),
+    ), min_size=1, max_size=12))
+    n = draw(st.integers(1, 4096))     # n = 0 is an explicit example
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.choice(np.array(atoms), n) * rng.choice((1.0, -1.0), n)
+    if n >= 2 and draw(st.booleans()):
+        half = n // 2
+        values[half:2 * half] = -values[:half]
+        values = rng.permutation(values)
+    if draw(st.integers(0, 3)) == 0:
+        specials = draw(st.lists(st.sampled_from(SPECIALS), min_size=1,
+                                 max_size=3))
+        values[rng.integers(0, n, len(specials))] = specials
+    return values
+
+
+def wide_array(seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(65536) * 10.0 ** rng.uniform(-300, 250, 65536)
+
+
+def cancelling_array(seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(32768) * 10.0 ** rng.uniform(-20, 20, 32768)
+    return rng.permutation(np.concatenate([x, -x, [1e-30]]))[:65536]
+
+
+def sparse_array(seed):
+    rng = np.random.default_rng(seed)
+    values = np.zeros(65536)
+    values[rng.integers(0, 65536, 1000)] = rng.standard_normal(1000) * 1e10
+    return values
+
+
+def ties_array(seed):
+    rng = np.random.default_rng(seed)
+    return rng.choice(np.array(TIES), 65536) * rng.choice((1.0, -1.0), 65536)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sum_arrays())
+@example(np.random.default_rng(0).standard_normal(65536))
+@example(wide_array(1))
+@example(cancelling_array(2))
+@example(sparse_array(3))
+@example(ties_array(4))
+@example(np.full(65536, -0.0))
+@example(np.zeros(0))
+def test_exact_sum_equals_fsum(values):
+    try:
+        want = math.fsum(values.tolist())
+    except (ValueError, OverflowError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            _exact_sum(values)
+        return
+    # bit for bit: the sign of zero and the nan payload included
+    assert struct.pack("<d", _exact_sum(values)) == struct.pack("<d", want)
 
 
 # --- integrands ---------------------------------------------------------------
@@ -280,6 +361,23 @@ def test_reduction_chain_equals_public_route(profile_zoo, n):
         assert report.I_P == periodic_quadrature(PeriodicSamples(
             integrand_P(profile, radius, psi), math.pi))
         assert report.gap_spectral == spectral_gap(profile, radius, n)
+
+
+def fsum_quadrature(values):
+    """The quadrature the chain once ran, math.fsum over a list: the bit
+    reference for its exact numpy summation."""
+    return (math.pi / values.shape[0]) * math.fsum(values.tolist())
+
+
+@pytest.mark.parametrize("n", [64, 4096, 65536])
+def test_reduction_chain_equals_fsum_quadrature(profile_zoo, n, monkeypatch):
+    # at n = 64 the half-grid checks conv_delta_U/P sum 32 samples
+    for profile, radius in profile_zoo:
+        report = reduction_chain(profile, radius, n)
+        with monkeypatch.context() as patch:
+            patch.setattr(wirtinger, "_quad_pi", fsum_quadrature)
+            reference = reduction_chain(profile, radius, n)
+        assert report.to_dict() == reference.to_dict()
 
 
 def test_reduction_chain_evaluates_profile_once(profile_zoo, monkeypatch):
