@@ -3,7 +3,7 @@
     python3 scripts/output_digest.py
 
 Run from the root of a checkout; the package is imported from its `src/`.
-For each table of the benchmark (`perfbench/workloads.py`) it prints two
+For each table of the benchmark (`perfbench/workloads.py`) it prints five
 digests:
 
 - `maps`: the `p`/`phi` bytes of 200 cold `forward_map_batch` steps from
@@ -13,9 +13,15 @@ digests:
   text, which is hashed too.
 - `integral`: the stdout bytes of `billiard integral` at `--n` 64, 1024,
   4096 and 65536; at 64 the half-grid checks sum 32 samples.
+- `orbit`: the stdout bytes of `billiard orbit` from `--psi0 0.3
+  --delta0 0.7`, 500 steps.
+- `verify`: the stdout bytes of `billiard verify --suite all`.
+- `validate`: the stdout bytes of `billiard table validate`.
 
-A change that leaves the numerics alone prints the same lines on the
-parent and on the change. The bits depend on the numpy and libm build, so
+Every command is covered but `beam-scan`, which the archived scan
+`reports/conjugate_scan_mode6.json` covers (`cmp` its output). A change
+that leaves the numerics alone prints the same lines on the parent and on
+the change. The bits depend on the numpy and libm build, so
 compare two checkouts on one machine; this is a script and not a test for
 that reason.
 """
@@ -45,6 +51,7 @@ from workloads import TABLE_SPECS  # noqa: E402
 STARTS, STEPS, SCAN_SEED = 256, 200, 42
 LINES, LINE_SEED = 1000, 100
 INTEGRAL_N = (64, 1024, 4096, 65536)
+ORBIT_ARGS = ("--psi0", "0.3", "--delta0", "0.7", "--steps", "500")
 
 
 def maps_digest(spec, line_seed: int) -> str:
@@ -52,7 +59,7 @@ def maps_digest(spec, line_seed: int) -> str:
     try:
         _, _, p, phi = scan_starts(spec, table_profile(spec), STARTS, SCAN_SEED)
         for _ in range(STEPS):
-            p, phi = forward_map_batch(spec, p, phi)
+            p, phi = forward_map_batch(spec, p, phi)[:2]
             digest.update(p.tobytes())
             digest.update(phi.tobytes())
         p, phi = random_interior_lines(spec, LINES, line_seed)
@@ -63,13 +70,14 @@ def maps_digest(spec, line_seed: int) -> str:
     return digest.hexdigest()
 
 
-def integral_digest(spec_path: Path) -> str:
+def cli_digest(*argvs: list[str]) -> str:
+    """Digest of the exit codes and stdout bytes of `billiard` commands."""
     digest = hashlib.sha256()
-    for n in INTEGRAL_N:
+    for argv in argvs:
         out = io.StringIO()
         with contextlib.redirect_stdout(out), \
                 contextlib.redirect_stderr(io.StringIO()):
-            code = cli_main(["integral", str(spec_path), "--n", str(n)])
+            code = cli_main(argv)
         digest.update(f"exit {code}\n{out.getvalue()}".encode())
     return digest.hexdigest()
 
@@ -81,7 +89,15 @@ def main() -> int:
             path.write_text(json.dumps(data), encoding="utf-8")
             spec = table_from_dict(data)
             print(f"{name:10s} maps      {maps_digest(spec, LINE_SEED + i)}")
-            print(f"{name:10s} integral  {integral_digest(path)}")
+            integral = cli_digest(*(["integral", str(path), "--n", str(n)]
+                                    for n in INTEGRAL_N))
+            print(f"{name:10s} integral  {integral}")
+            print(f"{name:10s} orbit     "
+                  f"{cli_digest(['orbit', str(path), *ORBIT_ARGS])}")
+            print(f"{name:10s} verify    "
+                  f"{cli_digest(['verify', str(path), '--suite', 'all'])}")
+            print(f"{name:10s} validate  "
+                  f"{cli_digest(['table', 'validate', str(path)])}")
     return 0
 
 

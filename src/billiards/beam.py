@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .billmap import (LineCoord, SDerivatives, forward_map,
+from .billmap import (LineCoord, SDerivatives, _check_inside, forward_map,
                       forward_map_batch, s_derivatives)
 from .errors import MonotonicityBreak
 from .profiles import _xp
@@ -55,9 +55,10 @@ def push_tangent(spec: SupportSpec, tv: TangentVector) -> TangentVector:
         dphi1 = (-dp - S11 dphi) / S12
         dp1   = S12 dphi + S22 dphi1
     """
-    image = forward_map(spec, tv.line)
-    sd = s_derivatives(spec, tv.line.phi, image.phi)
-    return TangentVector(*_push(sd, tv.dp, tv.dphi), image)
+    p, phi = float(tv.line.p), float(tv.line.phi)
+    _check_inside(spec, p, phi)
+    p1, phi1, sd = forward_map_batch(spec, p, phi)
+    return TangentVector(*_push(sd, tv.dp, tv.dphi), LineCoord(p1, phi1))
 
 
 def _push(sd: SDerivatives, dp, dphi):
@@ -102,9 +103,8 @@ def conjugate_scan(spec: SupportSpec, p0, phi0, max_steps: int):
     detected = xp.where(dp > 0.0, -1, -1)   # one int -1 per start
     guess = None
     for step in range(1, max_steps + 1):
-        p1, phi1 = forward_map_batch(spec, p, phi, guess)
+        p1, phi1, sd = forward_map_batch(spec, p, phi, guess)
         guess = 2.0 * phi1 - phi    # next phi if delta is conserved
-        sd = s_derivatives(spec, phi, phi1)
         dp_next, dphi_next = _push(sd, dp, dphi)
         norm = xp.maximum(xp.abs(dp_next), xp.abs(dphi_next))
         dp = dp_next / norm

@@ -10,6 +10,14 @@ delta = (phi1 - phi)/2:
     p  = h(psi) cos delta - h'(psi) sin delta     (line incoming at psi)
     p1 = h(psi) cos delta + h'(psi) sin delta     (line outgoing at psi)
 
+One private bounce record, _bounce, writes these momenta and the second
+partials of S once, from one jet of h; every map, chart and derivative
+below is a layer over it, and forward_map_batch hands back the record of
+the bounce it solved, so a step costs no jet beyond its solve.  The
+inverse map is the forward map of the reversed line: reversing
+orientation, (p, phi) -> (-p, phi + pi), turns the bounce (L0 -> L1) into
+(reversed L1 -> reversed L0).
+
 Angles live on the universal cover: phi and psi are carried as plain
 floats and reduced mod 2pi only at evaluation of h, so rotation numbers
 and 4-periodicity (phi advancing by 2pi per period) come out of the lift
@@ -70,32 +78,36 @@ def generating_S(spec: SupportSpec, phi, phi1):
     return 2.0 * spec.jet(psi).h * xp.sin(delta)
 
 
-def s_derivatives(spec: SupportSpec, phi, phi1) -> SDerivatives:
-    """Second partials of S:
+def _bounce(spec: SupportSpec, psi, delta, xp):
+    """The bounce at exit angle psi with half-separation delta, from one
+    jet of h: (p, p1, SDerivatives), where
 
-    S11 = (h''-h)/2 sin delta - h' cos delta
-    S22 = (h''-h)/2 sin delta + h' cos delta
-    S12 = (h''+h)/2 sin delta = rho/2 sin delta > 0   (twist)
+    p, p1 = h cos delta -/+ h' sin delta   (incoming, outgoing momentum)
+    S11   = (h''-h)/2 sin delta - h' cos delta
+    S22   = (h''-h)/2 sin delta + h' cos delta
+    S12   = (h''+h)/2 sin delta = rho/2 sin delta > 0   (twist)
     """
-    delta, xp = _check_separation(phi, phi1)
-    psi = 0.5 * (phi + phi1)
     h, dh, ddh = spec.jet(psi)
     s = xp.sin(delta)
     c = xp.cos(delta)
+    base = h * c
+    swing = dh * s
     half_diff = 0.5 * (ddh - h) * s
-    return SDerivatives(s11=half_diff - dh * c,
-                        s12=0.5 * (ddh + h) * s,
-                        s22=half_diff + dh * c)
+    tilt = dh * c
+    return base - swing, base + swing, SDerivatives(
+        half_diff - tilt, 0.5 * (ddh + h) * s, half_diff + tilt)
+
+
+def s_derivatives(spec: SupportSpec, phi, phi1) -> SDerivatives:
+    """Second partials (S11, S12, S22) of S; see _bounce."""
+    delta, xp = _check_separation(phi, phi1)
+    return _bounce(spec, 0.5 * (phi + phi1), delta, xp)[2]
 
 
 def p_of(spec: SupportSpec, phi, phi1):
     """Momenta (p, p1) of the incoming/outgoing lines of the bounce."""
     delta, xp = _check_separation(phi, phi1)
-    psi = 0.5 * (phi + phi1)
-    h, dh, _ = spec.jet(psi)
-    base = h * xp.cos(delta)
-    swing = dh * xp.sin(delta)
-    return base - swing, base + swing
+    return _bounce(spec, 0.5 * (phi + phi1), delta, xp)[:2]
 
 
 def _gamma(jet, psi, xp):
@@ -124,11 +136,12 @@ def half_turn(line: LineCoord) -> LineCoord:
 
 # --- monotone root solving -------------------------------------------------
 #
-# Both implicit equations below are strictly monotone in the unknown thanks
-# to the twist condition, so a bracket is globally safe.  One safeguarded
-# Newton iteration (rtsafe, Numerical Recipes 9.4) serves floats and arrays
-# entrywise: fdf gives residual and slope from one jet, the residual's sign
-# narrows the bracket, and a step that leaves it is replaced by bisection.
+# The map's implicit equation is strictly monotone in the unknown thanks to
+# the twist condition, the oracle's thanks to rho > 0, so a bracket is
+# globally safe.  One safeguarded Newton iteration (rtsafe, Numerical
+# Recipes 9.4) serves floats and arrays entrywise: fdf gives residual and
+# slope from one jet, the residual's sign narrows the bracket, and a step
+# that leaves it is replaced by bisection.
 # Entries freeze at the floor, so a float solve is bit for bit one entry of
 # the array solve.  Near invariant curves delta barely moves from bounce to
 # bounce, so a warm start (`guess`) sits a few Newton steps from the root.
@@ -189,12 +202,12 @@ def forward_map(spec: SupportSpec, line: LineCoord) -> LineCoord:
     """Image of an oriented line under reflection at its exit point."""
     p, phi = float(line.p), float(line.phi)
     _check_inside(spec, p, phi)
-    return LineCoord(*forward_map_batch(spec, p, phi))
+    return LineCoord(*forward_map_batch(spec, p, phi)[:2])
 
 
 def forward_map_batch(spec: SupportSpec, p, phi, guess=None):
     """forward_map on floats or entrywise on arrays of one shape; returns
-    (p1, phi1).
+    (p1, phi1, sd) with sd the SDerivatives of the bounce (phi, phi1).
 
     Solves p = h(psi) cos delta - h'(psi) sin delta for the unique
     phi1 in (phi, phi + 2pi); the right side is strictly decreasing in
@@ -205,10 +218,8 @@ def forward_map_batch(spec: SupportSpec, p, phi, guess=None):
     xp = _xp(phi)
 
     def fdf(phi1):
-        delta = 0.5 * (phi1 - phi)
-        h, dh, ddh = spec.jet(0.5 * (phi + phi1))
-        s = xp.sin(delta)
-        return p - (h * xp.cos(delta) - dh * s), 0.5 * (ddh + h) * s
+        p_in, _, sd = _bounce(spec, 0.5 * (phi + phi1), 0.5 * (phi1 - phi), xp)
+        return p - p_in, sd.s12
 
     # the bracket holds the delta floor off both cylinder ends; a residual
     # that never meets the floor therefore signals an invalid table, a
@@ -217,30 +228,17 @@ def forward_map_batch(spec: SupportSpec, p, phi, guess=None):
     lo = phi + 2.0 * DELTA_MIN
     hi = phi + 2.0 * math.pi - 2.0 * DELTA_MIN
     phi1 = _solve_increasing(fdf, lo, hi, xp.abs(p), guess)
-    delta = 0.5 * (phi1 - phi)
-    h, dh, _ = spec.jet(0.5 * (phi + phi1))
-    return h * xp.cos(delta) + dh * xp.sin(delta), phi1
+    _, p1, sd = _bounce(spec, 0.5 * (phi + phi1), 0.5 * (phi1 - phi), xp)
+    return p1, phi1, sd
 
 
 def inverse_map(spec: SupportSpec, line: LineCoord) -> LineCoord:
-    """Pre-image of an oriented line: solves p1 = S2(phi0, phi1) for phi0."""
+    """Pre-image of an oriented line: the reverse of the image of the
+    reversed line, with phi0 in (phi1 - 2pi, phi1)."""
     p1, phi1 = float(line.p), float(line.phi)
     _check_inside(spec, p1, phi1)
-
-    def fdf(phi0):
-        # outgoing momentum at the bounce (phi0, phi1), increasing in phi0
-        # with slope S12
-        delta = 0.5 * (phi1 - phi0)
-        h, dh, ddh = spec.jet(0.5 * (phi0 + phi1))
-        s = math.sin(delta)
-        return (h * math.cos(delta) + dh * s) - p1, 0.5 * (ddh + h) * s
-
-    lo = phi1 - 2.0 * math.pi + 2.0 * DELTA_MIN
-    hi = phi1 - 2.0 * DELTA_MIN
-    phi0 = _solve_increasing(fdf, lo, hi, abs(p1))
-    delta = 0.5 * (phi1 - phi0)
-    h, dh, _ = spec.jet(0.5 * (phi0 + phi1))
-    return LineCoord(h * math.cos(delta) - dh * math.sin(delta), phi0)
+    p, phi, _ = forward_map_batch(spec, -p1, phi1 + math.pi)
+    return LineCoord(-p, phi - 3.0 * math.pi)
 
 
 # --- boundary chart ----------------------------------------------------------
@@ -250,24 +248,15 @@ def chart_to_line(spec: SupportSpec, bc: BoundaryCoord) -> LineCoord:
     """Line outgoing from gamma(psi) at angle delta: p = h cos + h' sin,
     phi = psi + delta."""
     psi, delta = float(bc.psi), float(bc.delta)
-    h, dh, _ = spec.jet(psi)
-    return LineCoord(h * math.cos(delta) + dh * math.sin(delta), psi + delta)
+    return LineCoord(_bounce(spec, psi, delta, math)[1], psi + delta)
 
 
 def line_to_chart(spec: SupportSpec, line: LineCoord) -> BoundaryCoord:
-    """Boundary point the line leaves: solves the outgoing relation for
-    delta in (0, pi); the residual is strictly decreasing (slope
-    -rho sin delta)."""
-    p, phi = float(line.p), float(line.phi)
-    _check_inside(spec, p, phi)
-
-    def fdf(delta):
-        h, dh, ddh = spec.jet(phi - delta)
-        s = math.sin(delta)
-        return p - (h * math.cos(delta) + dh * s), (h + ddh) * s
-
-    delta = _solve_increasing(fdf, DELTA_MIN, math.pi - DELTA_MIN, abs(p))
-    return BoundaryCoord(phi - delta, delta)
+    """Boundary point the line leaves: the bounce (phi0, phi) with phi0
+    from inverse_map, so delta lies in (0, pi)."""
+    phi0 = inverse_map(spec, line).phi
+    phi = float(line.phi)
+    return BoundaryCoord(0.5 * (phi0 + phi), 0.5 * (phi - phi0))
 
 
 # --- geometric oracle --------------------------------------------------------
@@ -308,10 +297,10 @@ def geometric_reflect(spec: SupportSpec, start_psi, delta) -> BoundaryCoord:
 def jacobian_check_batch(spec: SupportSpec, p, phi, eps: float = 1e-6):
     """Central finite-difference Jacobian determinant of forward_map_batch,
     on floats or entrywise on arrays."""
-    pp_p, pf_p = forward_map_batch(spec, p + eps, phi)
-    pp_m, pf_m = forward_map_batch(spec, p - eps, phi)
-    fp_p, ff_p = forward_map_batch(spec, p, phi + eps)
-    fp_m, ff_m = forward_map_batch(spec, p, phi - eps)
+    pp_p, pf_p, _ = forward_map_batch(spec, p + eps, phi)
+    pp_m, pf_m, _ = forward_map_batch(spec, p - eps, phi)
+    fp_p, ff_p, _ = forward_map_batch(spec, p, phi + eps)
+    fp_m, ff_m, _ = forward_map_batch(spec, p, phi - eps)
     return ((pp_p - pp_m) * (ff_p - ff_m) - (fp_p - fp_m) * (pf_p - pf_m)) \
         / (4 * eps * eps)
 

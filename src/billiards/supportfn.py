@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import CurvatureViolation, SpecError
 from .profiles import (AngleProfile, EllipseProfile, Profile, _reduce, _xp,
@@ -215,6 +214,10 @@ def is_centrally_symmetric(spec: SupportSpec, grid_n: int = VALIDATION_GRID,
 
 def arclength_of_psi(spec: SupportSpec, psi: float) -> float:
     """Arclength s(psi) = integral of rho from 0 to psi (ds = rho dpsi)."""
+    # imported here: scipy is the slowest import of the package, and no
+    # CLI command needs arclength
+    from scipy.integrate import quad
+
     val, _ = quad(lambda t: float(spec.jet(t).rho), 0.0, float(psi),
                   limit=200, epsabs=1e-12, epsrel=1e-12)
     return val

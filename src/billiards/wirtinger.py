@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .billmap import LineCoord, forward_map, s_derivatives
+from .billmap import LineCoord, forward_map_batch
 from .errors import AliasingWarning, NoRealCaustic
 from .profiles import _xp, validate_profile
 from .supportfn import ProfileTable, SupportSpec, _profile_support_jet, \
@@ -425,9 +425,7 @@ def hopf_identity_ellipse(a: float, b: float, line: LineCoord) -> HopfDefect:
         raise NoRealCaustic(
             f"lambda = {lam:.6g} outside (0, {b * b:.6g}): line crosses "
             "between the foci or exits the monotone region")
-    image = forward_map(spec, LineCoord(p, phi))
-    p1, phi1 = image.p, image.phi
-    sd = s_derivatives(spec, phi, phi1)
+    p1, phi1, sd = forward_map_batch(spec, p, phi)
     omega = (b * b - a * a) * math.sin(2.0 * phi) / (2.0 * p)
     omega1 = (b * b - a * a) * math.sin(2.0 * phi1) / (2.0 * p1)
     nu1 = (-sd.s11 - omega) / sd.s12

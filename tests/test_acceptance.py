@@ -101,7 +101,7 @@ def test_criterion_02_map_against_closed_form_and_oracle(tables):
     for spec, _ in tables.values():
         jet = spec.jet(psis)
         p = jet.h * np.cos(deltas) + jet.dh * np.sin(deltas)
-        p1, phi1 = forward_map_batch(spec, p, psis + deltas)
+        p1, phi1, _ = forward_map_batch(spec, p, psis + deltas)
         psi1, delta1 = geometric_reflect(spec, psis, deltas)
         jet1 = spec.jet(psi1)
         p1_geo = jet1.h * np.cos(delta1) + jet1.dh * np.sin(delta1)

@@ -240,6 +240,38 @@ def test_conjugate_scan_steps_only_live_starts(table, profile, request,
         assert np.any(detections >= 0)
 
 
+@pytest.mark.parametrize("table, profile", [
+    ("mode6_table", "mode6_profile"), ("ellipse21", "ellipse21_profile"),
+])
+def test_conjugate_scan_evaluates_jets_only_inside_the_map(table, profile,
+                                                           request,
+                                                           monkeypatch):
+    # the S-derivatives of each step come with the map's image, so the
+    # scan evaluates h nowhere but inside forward_map_batch
+    spec = request.getfixturevalue(table)
+    depth = [0]
+    outside = [0]
+    jet = type(spec).jet
+
+    def counted_jet(self, psi):
+        outside[0] += depth[0] == 0
+        return jet(self, psi)
+
+    def counted_map(spec, p, phi, guess=None):
+        depth[0] += 1
+        try:
+            return forward_map_batch(spec, p, phi, guess)
+        finally:
+            depth[0] -= 1
+
+    _, _, p, phi = scan_starts(spec, request.getfixturevalue(profile), 64,
+                               seed=42)
+    monkeypatch.setattr(type(spec), "jet", counted_jet)
+    monkeypatch.setattr("billiards.beam.forward_map_batch", counted_map)
+    conjugate_scan(spec, p, phi, 50)
+    assert outside[0] == 0
+
+
 def test_circle_vertical_never_returns(circle):
     # dphi_n = -2n / sin(delta): monotone, one sign for all n
     delta = 0.8

@@ -136,11 +136,14 @@ def test_inverse_undoes_forward(spec_name, request):
     rng = SplitMix64(11)
     for _ in range(50):
         p, phi = random_interior_lines(spec, 1, rng.next_u64())
-        start = LineCoord(float(p[0]), float(phi[0]))
-        image = forward_map(spec, start)
-        back = inverse_map(spec, image)
-        assert back.p == pytest.approx(start.p, abs=1e-10)
-        assert back.phi == pytest.approx(start.phi, abs=1e-10)
+        # the start as drawn and lifted by 1, 100 and 1000 turns
+        for turns in (0, 1, 100, 1000):
+            start = LineCoord(float(p[0]), float(phi[0]) + 2 * math.pi * turns)
+            image = forward_map(spec, start)
+            back = inverse_map(spec, image)
+            assert back.p == pytest.approx(start.p, abs=1e-10)
+            assert back.phi == pytest.approx(start.phi, abs=1e-10)
+            assert image.phi - 2 * math.pi < back.phi < image.phi
 
 
 def test_inverse_map_circle_closed_form(circle):
@@ -187,6 +190,25 @@ def test_monotone_residual_single_sign_change(ellipse21):
     assert np.all(np.diff(g) < 0.0)
     signs = np.sign(p - g)
     assert np.count_nonzero(np.diff(signs) != 0.0) == 1
+
+
+@pytest.mark.parametrize("spec_name", ["circle", "ellipse21", "mode6_table"])
+def test_forward_map_batch_returns_bounce_record(spec_name, request):
+    # the S-derivatives that come with the image are those of the bounce
+    # (phi, phi1), bit for bit, for floats and for array entries
+    spec = request.getfixturevalue(spec_name)
+    p, phi = random_interior_lines(spec, 64, 29)
+    p1, phi1, sd = forward_map_batch(spec, p, phi)
+    expected = s_derivatives(spec, phi, phi1)
+    for got, want in zip(sd, expected):
+        assert np.array_equal(got, want)
+    assert np.array_equal(p1, p_of(spec, phi, phi1)[1])
+    for i in range(0, 64, 7):
+        p1_i, phi1_i, sd_i = forward_map_batch(spec, float(p[i]),
+                                               float(phi[i]))
+        assert sd_i == s_derivatives(spec, float(phi[i]), phi1_i)
+        assert sd_i == tuple(float(x[i]) for x in sd)
+        assert (p1_i, phi1_i) == (p1[i], phi1[i])
 
 
 # --- boundary chart and oracle ---------------------------------------------------
@@ -257,7 +279,7 @@ def test_oracle_equivalence_on_grid(spec_name, request):
     jet = spec.jet(psis)
     p = jet.h * np.cos(deltas) + jet.dh * np.sin(deltas)
     phi = psis + deltas
-    p1, phi1 = forward_map_batch(spec, p, phi)
+    p1, phi1, _ = forward_map_batch(spec, p, phi)
     psi1, delta1 = geometric_reflect(spec, psis, deltas)
     jet1 = spec.jet(psi1)
     p1_oracle = jet1.h * np.cos(delta1) + jet1.dh * np.sin(delta1)
@@ -270,15 +292,15 @@ def test_batch_matches_scalar(ellipse21):
     # floats and arrays run one solver, so each entry is bit for bit the
     # float result, cold or warm started
     p, phi = random_interior_lines(ellipse21, 32, 3)
-    p1, phi1 = forward_map_batch(ellipse21, p, phi)
+    p1, phi1, _ = forward_map_batch(ellipse21, p, phi)
     guess = phi + np.linspace(0.5, 5.5, 32)
-    p1_warm, phi1_warm = forward_map_batch(ellipse21, p, phi, guess)
+    p1_warm, phi1_warm, _ = forward_map_batch(ellipse21, p, phi, guess)
     for i in range(32):
         scalar = forward_map(ellipse21, LineCoord(p[i], phi[i]))
         assert (p1[i], phi1[i]) == (scalar.p, scalar.phi)
         warm = forward_map_batch(ellipse21, float(p[i]), float(phi[i]),
                                  float(guess[i]))
-        assert (p1_warm[i], phi1_warm[i]) == warm
+        assert (p1_warm[i], phi1_warm[i]) == warm[:2]
     assert np.max(np.abs(phi1_warm - phi1)) <= 1e-9
 
 
@@ -310,7 +332,7 @@ def test_forward_map_breaks_newton_two_cycle(mode6_table):
     # as one entry of an array the witness gives the same bits
     p, phi = random_interior_lines(mode6_table, 8, 3)
     p[5], phi[5] = MODE6_TWO_CYCLE
-    p1, phi1 = forward_map_batch(mode6_table, p, phi)
+    p1, phi1, _ = forward_map_batch(mode6_table, p, phi)
     assert (p1[5], phi1[5]) == image
 
 
@@ -346,7 +368,7 @@ def test_map_on_asymmetric_convex_table():
     delta = np.full(32, 0.9)
     jet = table.jet(psi)
     p0 = jet.h * np.cos(delta) + jet.dh * np.sin(delta)
-    p1, phi1 = forward_map_batch(table, p0, psi + delta)
+    p1, phi1, _ = forward_map_batch(table, p0, psi + delta)
     psi1, delta1 = geometric_reflect(table, psi, delta)
     jet1 = table.jet(psi1)
     assert np.max(np.abs(p1 - (jet1.h * np.cos(delta1)

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import billiards
 from billiards.cli import main
 
 
@@ -316,3 +321,16 @@ def test_beam_scan_ignores_billiard_threads(mode6_spec, tmp_path, monkeypatch):
         blobs[value] = path.read_bytes()
     assert blobs["4"] == blobs[None] and blobs["abc"] == blobs[None]
     assert json.loads(blobs[None])["threads"] == 1
+
+
+def test_cli_import_does_not_load_scipy():
+    # only arclength needs scipy; importing it would dominate the start-up
+    # of every command
+    src = str(Path(billiards.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, billiards.cli; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
