@@ -3,7 +3,7 @@
     python3 scripts/output_digest.py
 
 Run from the root of a checkout; the package is imported from its `src/`.
-For each table of the benchmark (`perfbench/workloads.py`) it prints five
+For each table of the benchmark (`perfbench/workloads.py`) it prints six
 digests:
 
 - `maps`: the `p`/`phi` bytes of 200 cold `forward_map_batch` steps from
@@ -17,13 +17,15 @@ digests:
   --delta0 0.7`, 500 steps.
 - `verify`: the stdout bytes of `billiard verify --suite all`.
 - `validate`: the stdout bytes of `billiard table validate`.
+- `scan`: the stdout bytes of `billiard beam-scan --max-steps 500` (256
+  seed-42 starts).
 
-Every command is covered but `beam-scan`, which the archived scan
-`reports/conjugate_scan_mode6.json` covers (`cmp` its output). A change
-that leaves the numerics alone prints the same lines on the parent and on
-the change. The bits depend on the numpy and libm build, so
-compare two checkouts on one machine; this is a script and not a test for
-that reason.
+Every command is covered; the archived scan
+`reports/conjugate_scan_mode6.json` covers `beam-scan` at full length
+(`cmp` its output). A change that leaves the numerics alone prints the
+same lines on the parent and on the change. The bits depend on the numpy
+and libm build, so compare two checkouts on one machine; this is a script
+and not a test for that reason.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ STARTS, STEPS, SCAN_SEED = 256, 200, 42
 LINES, LINE_SEED = 1000, 100
 INTEGRAL_N = (64, 1024, 4096, 65536)
 ORBIT_ARGS = ("--psi0", "0.3", "--delta0", "0.7", "--steps", "500")
+SCAN_ARGS = ("--max-steps", "500")
 
 
 def maps_digest(spec, line_seed: int) -> str:
@@ -98,6 +101,8 @@ def main() -> int:
                   f"{cli_digest(['verify', str(path), '--suite', 'all'])}")
             print(f"{name:10s} validate  "
                   f"{cli_digest(['table', 'validate', str(path)])}")
+            print(f"{name:10s} scan      "
+                  f"{cli_digest(['beam-scan', str(path), *SCAN_ARGS])}")
     return 0
 
 

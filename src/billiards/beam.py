@@ -78,6 +78,46 @@ def monotone_bounds(spec: SupportSpec, prev: LineCoord, cur: LineCoord,
     return lower, upper
 
 
+# The scan's warm start fits D_{n+1} + D_{n-1} = c D_n + e to the last
+# WINDOW increments D_n = phi_{n+1} - phi_n of each start; a quasi-periodic
+# g(theta + n omega) with one harmonic satisfies it exactly, c = 2 cos omega.
+# When the increments barely vary (the circle's are constant), c is
+# undetermined and the fit is not used.
+WINDOW = 9          # increments per fit, so WINDOW - 2 triples
+FLAT = 1e-12        # variance of D_n over its mean square that counts as flat
+
+
+def _slide(sums, incs):
+    """Running sums (Sx, Sy, Sxx, Sxy) over the window's triples,
+    x = D_k and y = D_{k-1} + D_{k+1}, after incs gained its newest
+    increment: adds the newest triple and, once incs outgrows the window,
+    drops the oldest triple and increment."""
+    sx, sy, sxx, sxy = sums
+    if len(incs) >= 3:
+        x, y = incs[-2], incs[-3] + incs[-1]
+        sx, sy, sxx, sxy = sx + x, sy + y, sxx + x * x, sxy + x * y
+    if len(incs) > WINDOW:
+        x, y = incs[1], incs[0] + incs[2]
+        sx, sy, sxx, sxy = sx - x, sy - y, sxx - x * x, sxy - x * y
+        del incs[0]
+    return sx, sy, sxx, sxy
+
+
+def _guess(phi1, phi, sums, incs, xp):
+    """Next phi: phi1 + c D_n + e - D_{n-1} from the fitted recurrence, or
+    2 phi1 - phi (delta conserved) while the window is short or flat."""
+    delta_kept = 2.0 * phi1 - phi
+    if len(incs) < WINDOW:
+        return delta_kept
+    n = WINDOW - 2
+    sx, sy, sxx, sxy = sums
+    var = n * sxx - sx * sx
+    flat = var <= FLAT * n * sxx
+    c = (n * sxy - sx * sy) / xp.where(flat, 1.0, var)
+    e = (sy - c * sx) / n
+    return xp.where(flat, delta_kept, phi1 + c * incs[-1] + e - incs[-2])
+
+
 def conjugate_scan(spec: SupportSpec, p0, phi0, max_steps: int):
     """First step at which a pushed vertical vector crosses vertical again.
 
@@ -90,9 +130,17 @@ def conjugate_scan(spec: SupportSpec, p0, phi0, max_steps: int):
     One start as floats gives an int, many as arrays give an int array:
     the crossing step per start, -1 when none within max_steps.
 
+    Each solve is warm-started.  On an invariant curve the increments
+    D_n = phi_{n+1} - phi_n are quasi-periodic, so once a start has WINDOW
+    of them the guess extends the recurrence D_{n+1} + D_{n-1} = c D_n + e
+    fitted to them by least squares (running sums, updated each step);
+    before that, or when the increments barely vary, it is 2 phi1 - phi
+    (delta conserved).
+
     Only live starts are stepped: a start that crosses leaves the batch,
-    and the scan ends when none is left.  Every step works entry by
-    entry, so the result is the same as stepping all starts to the end,
+    with its guess and fit window, and the scan ends when none is left.
+    Every step works entry by entry, so the result is the same as stepping
+    all starts to the end, a float start gets the step of its array entry,
     and a start that has crossed can no longer fail the others.
     """
     xp = _xp(phi0)
@@ -102,9 +150,13 @@ def conjugate_scan(spec: SupportSpec, p0, phi0, max_steps: int):
     prev_sign = dphi
     detected = xp.where(dp > 0.0, -1, -1)   # one int -1 per start
     guess = None
+    incs = []                   # the last WINDOW increments, oldest first
+    sums = (dphi,) * 4          # Sx, Sy, Sxx, Sxy over their triples
     for step in range(1, max_steps + 1):
         p1, phi1, sd = forward_map_batch(spec, p, phi, guess)
-        guess = 2.0 * phi1 - phi    # next phi if delta is conserved
+        incs.append(phi1 - phi)
+        sums = _slide(sums, incs)
+        guess = _guess(phi1, phi, sums, incs, xp)
         dp_next, dphi_next = _push(sd, dp, dphi)
         norm = xp.maximum(xp.abs(dp_next), xp.abs(dphi_next))
         dp = dp_next / norm
@@ -121,6 +173,8 @@ def conjugate_scan(spec: SupportSpec, p0, phi0, max_steps: int):
                 live = ~crossing
                 p, phi, dp, dphi, sign, guess = (
                     a[live] for a in (p, phi, dp, dphi, sign, guess))
+                incs = [d[live] for d in incs]
+                sums = tuple(s[live] for s in sums)
         prev_sign = sign
     return detected
 

@@ -11,9 +11,11 @@ delta = (phi1 - phi)/2:
     p1 = h(psi) cos delta + h'(psi) sin delta     (line outgoing at psi)
 
 One private bounce record, _bounce, writes these momenta and the second
-partials of S once, from one jet of h; every map, chart and derivative
-below is a layer over it, and forward_map_batch hands back the record of
-the bounce it solved, so a step costs no jet beyond its solve.  The
+partials of S once, from a jet of h; every map, chart and derivative
+below is a layer over it.  Its first part, _incoming (p and the twist
+S12), is all the forward map's solver needs, and forward_map_batch hands
+back the whole record of the bounce it solved, so a step costs no jet
+beyond its solve.  The
 inverse map is the forward map of the reversed line: reversing
 orientation, (p, phi) -> (-p, phi + pi), turns the bounce (L0 -> L1) into
 (reversed L1 -> reversed L0).
@@ -78,36 +80,46 @@ def generating_S(spec: SupportSpec, phi, phi1):
     return 2.0 * spec.jet(psi).h * xp.sin(delta)
 
 
-def _bounce(spec: SupportSpec, psi, delta, xp):
-    """The bounce at exit angle psi with half-separation delta, from one
-    jet of h: (p, p1, SDerivatives), where
-
-    p, p1 = h cos delta -/+ h' sin delta   (incoming, outgoing momentum)
-    S11   = (h''-h)/2 sin delta - h' cos delta
-    S22   = (h''-h)/2 sin delta + h' cos delta
-    S12   = (h''+h)/2 sin delta = rho/2 sin delta > 0   (twist)
-    """
-    h, dh, ddh = spec.jet(psi)
+def _incoming(jet, delta, xp):
+    """The part of the bounce the map's solver needs, from the jet of h at
+    psi: (p, S12, parts), with p = h cos delta - h' sin delta the incoming
+    momentum, S12 = (h''+h)/2 sin delta = rho/2 sin delta > 0 (twist), and
+    parts the terms _bounce goes on from."""
+    h, dh, ddh = jet
     s = xp.sin(delta)
     c = xp.cos(delta)
     base = h * c
     swing = dh * s
+    return base - swing, 0.5 * (ddh + h) * s, (s, c, base, swing)
+
+
+def _bounce(jet, delta, xp):
+    """The bounce at exit angle psi with half-separation delta, from the jet
+    of h at psi: (p, p1, SDerivatives), where
+
+    p, p1 = h cos delta -/+ h' sin delta   (incoming, outgoing momentum)
+    S11   = (h''-h)/2 sin delta - h' cos delta
+    S22   = (h''-h)/2 sin delta + h' cos delta
+    S12   as in _incoming
+    """
+    p, s12, (s, c, base, swing) = _incoming(jet, delta, xp)
+    h, dh, ddh = jet
     half_diff = 0.5 * (ddh - h) * s
     tilt = dh * c
-    return base - swing, base + swing, SDerivatives(
-        half_diff - tilt, 0.5 * (ddh + h) * s, half_diff + tilt)
+    return p, base + swing, SDerivatives(half_diff - tilt, s12,
+                                         half_diff + tilt)
 
 
 def s_derivatives(spec: SupportSpec, phi, phi1) -> SDerivatives:
     """Second partials (S11, S12, S22) of S; see _bounce."""
     delta, xp = _check_separation(phi, phi1)
-    return _bounce(spec, 0.5 * (phi + phi1), delta, xp)[2]
+    return _bounce(spec.jet(0.5 * (phi + phi1)), delta, xp)[2]
 
 
 def p_of(spec: SupportSpec, phi, phi1):
     """Momenta (p, p1) of the incoming/outgoing lines of the bounce."""
     delta, xp = _check_separation(phi, phi1)
-    return _bounce(spec, 0.5 * (phi + phi1), delta, xp)[:2]
+    return _bounce(spec.jet(0.5 * (phi + phi1)), delta, xp)[:2]
 
 
 def _gamma(jet, psi, xp):
@@ -211,15 +223,18 @@ def forward_map_batch(spec: SupportSpec, p, phi, guess=None):
 
     Solves p = h(psi) cos delta - h'(psi) sin delta for the unique
     phi1 in (phi, phi + 2pi); the right side is strictly decreasing in
-    phi1 (its derivative is -S12 < 0).  guess is a start for phi1, e.g.
-    2 phi - phi_prev along an orbit (delta conserved).  The cylinder is
-    not checked.
+    phi1 (its derivative is -S12 < 0).  The residual evaluates only p and
+    S12 (_incoming); p1 and sd are built once, from the jet at the root.
+    guess is a start for phi1, e.g. 2 phi - phi_prev along an orbit (delta
+    conserved) or conjugate_scan's fitted recurrence.  The cylinder is not
+    checked.
     """
     xp = _xp(phi)
 
     def fdf(phi1):
-        p_in, _, sd = _bounce(spec, 0.5 * (phi + phi1), 0.5 * (phi1 - phi), xp)
-        return p - p_in, sd.s12
+        p_in, s12, _ = _incoming(spec.jet(0.5 * (phi + phi1)),
+                                 0.5 * (phi1 - phi), xp)
+        return p - p_in, s12
 
     # the bracket holds the delta floor off both cylinder ends; a residual
     # that never meets the floor therefore signals an invalid table, a
@@ -228,7 +243,7 @@ def forward_map_batch(spec: SupportSpec, p, phi, guess=None):
     lo = phi + 2.0 * DELTA_MIN
     hi = phi + 2.0 * math.pi - 2.0 * DELTA_MIN
     phi1 = _solve_increasing(fdf, lo, hi, xp.abs(p), guess)
-    _, p1, sd = _bounce(spec, 0.5 * (phi + phi1), 0.5 * (phi1 - phi), xp)
+    _, p1, sd = _bounce(spec.jet(0.5 * (phi + phi1)), 0.5 * (phi1 - phi), xp)
     return p1, phi1, sd
 
 
@@ -248,7 +263,12 @@ def chart_to_line(spec: SupportSpec, bc: BoundaryCoord) -> LineCoord:
     """Line outgoing from gamma(psi) at angle delta: p = h cos + h' sin,
     phi = psi + delta."""
     psi, delta = float(bc.psi), float(bc.delta)
-    return LineCoord(_bounce(spec, psi, delta, math)[1], psi + delta)
+    return _chart_line(spec.jet(psi), psi, delta)
+
+
+def _chart_line(jet, psi, delta) -> LineCoord:
+    """chart_to_line from the jet of h at psi (floats)."""
+    return LineCoord(_bounce(jet, delta, math)[1], psi + delta)
 
 
 def line_to_chart(spec: SupportSpec, line: LineCoord) -> BoundaryCoord:
@@ -268,11 +288,16 @@ def geometric_reflect(spec: SupportSpec, start_psi, delta) -> BoundaryCoord:
     with the curve, reflect with equal angles.  Independent of the
     momentum relations.  Raises GrazingRay when an incidence angle, given
     or computed, leaves the floor (NaN included)."""
+    return _reflect(spec, spec.jet(start_psi), start_psi, delta)
+
+
+def _reflect(spec: SupportSpec, start_jet, start_psi, delta) -> BoundaryCoord:
+    """geometric_reflect from the jet of h at start_psi."""
     angle = start_psi + delta
     xp = _xp(angle)
     if not xp.all((delta >= DELTA_MIN) & (delta <= math.pi - DELTA_MIN)):
         raise GrazingRay(f"delta = {delta} outside [{DELTA_MIN}, pi - {DELTA_MIN}]")
-    x0, y0 = boundary_point(spec, start_psi)
+    x0, y0 = _gamma(start_jet, start_psi, xp)
     ex = -xp.sin(_reduce(angle))
     ey = xp.cos(_reduce(angle))
 

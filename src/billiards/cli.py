@@ -19,8 +19,8 @@ import numpy as np
 
 from . import __version__
 from .beam import conjugate_scan
-from .billmap import BoundaryCoord, boundary_point, chart_to_line, \
-    geometric_reflect, jacobian_check_batch, s_derivatives
+from .billmap import DELTA_MIN, BoundaryCoord, _chart_line, _gamma, _reflect, \
+    jacobian_check_batch, s_derivatives
 from .errors import BilliardError, CurvatureViolation, GrazingRay, SpecError
 from .fourperiodic import table_profile, verify_d_h_relations, verify_orthoptic, \
     verify_parallelogram
@@ -57,6 +57,9 @@ class RunConfig:
     def __post_init__(self):
         if not _is_pow2(self.grid):
             raise ValueError(f"grid size {self.grid} must be a power of two")
+        if self.command == "integral" and self.grid < 64:
+            raise ValueError(f"grid size {self.grid} must be a power of two "
+                             ">= 64")
         if not self.tol > 0.0:
             raise ValueError(f"tolerance {self.tol} must be positive")
         for name in ("steps", "starts", "max_steps"):
@@ -140,6 +143,12 @@ def cmd_orbit(args) -> int:
     if not (math.isfinite(args.psi0) and math.isfinite(args.delta0)):
         print("error: --psi0 and --delta0 must be finite", file=sys.stderr)
         return 2
+    if math.ulp(args.psi0) > DELTA_MIN:
+        # |psi0| >= 2^23: the lift cannot resolve the grazing floor
+        print(f"error: --psi0 {args.psi0:g} is too large a lift: its spacing "
+              f"{math.ulp(args.psi0):.3g} exceeds the grazing floor "
+              f"{DELTA_MIN:g}", file=sys.stderr)
+        return 2
     spec = _load(args.spec)
     validate_table(spec)
     rows = ["step,psi,delta,p,phi,x,y"]
@@ -148,14 +157,15 @@ def cmd_orbit(args) -> int:
     lams = []
     for step in range(cfg.steps + 1):
         try:
-            line = chart_to_line(spec, state)
+            jet = spec.jet(state.psi)     # one jet of h per bounce
+            line = _chart_line(jet, state.psi, state.delta)
         except BilliardError:
             grazed = True
             break
         if not (1e-9 <= state.delta <= math.pi - 1e-9):
             grazed = True
             break
-        x, y = boundary_point(spec, state.psi)
+        x, y = _gamma(jet, state.psi, math)
         rows.append(",".join(_fmt(v) for v in
                              (float(step), state.psi, state.delta,
                               line.p, line.phi, x, y)))
@@ -165,7 +175,7 @@ def cmd_orbit(args) -> int:
         if step == cfg.steps:
             break
         try:
-            state = geometric_reflect(spec, state.psi, state.delta)
+            state = _reflect(spec, jet, state.psi, state.delta)
         except GrazingRay:
             grazed = True
             break

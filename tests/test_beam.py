@@ -9,9 +9,8 @@ from billiards.billmap import (BoundaryCoord, LineCoord, SDerivatives,
                                chart_to_line, forward_map, forward_map_batch,
                                s_derivatives)
 from billiards.errors import MonotonicityBreak
-from billiards.fourperiodic import invariant_curve_state
+from billiards.fourperiodic import invariant_curve_state, table_profile
 from billiards.sampling import scan_starts
-from billiards.supportfn import EllipseTable
 
 
 def caustic_line(lam, phi, a=2.0, b=1.0):
@@ -172,25 +171,43 @@ def test_detect_conjugate_none_on_ellipse_region(ellipse21,
     assert np.all(detections < 0)
 
 
-def test_conjugate_scan_warm_steps_stay_cheap(ellipse21, ellipse21_profile,
-                                             monkeypatch):
-    # each scan step warm-starts the solver at the delta-conserving guess;
-    # a fall back to cold bracketing would cost 16 or more jets per step
+def _warm_jets_per_step(spec, profile, monkeypatch, steps=100):
+    # table jet calls per step of a 256-start seed-42 scan, less its cold
+    # first step
+    _, _, p, phi = scan_starts(spec, profile, 256, seed=42)
     calls = [0]
-    jet = EllipseTable.jet
+    jet = type(spec).jet
 
     def counted(self, psi):
         calls[0] += 1
         return jet(self, psi)
 
-    monkeypatch.setattr(EllipseTable, "jet", counted)
-    _, _, p, phi = scan_starts(ellipse21, ellipse21_profile, 256, seed=42)
-    conjugate_scan(ellipse21, p, phi, 1)
+    monkeypatch.setattr(type(spec), "jet", counted)
+    conjugate_scan(spec, p, phi, 1)
     cold = calls[0]
     calls[0] = 0
-    detections = conjugate_scan(ellipse21, p, phi, 101)
+    detections = conjugate_scan(spec, p, phi, steps + 1)
     assert np.all(detections < 0)
-    assert (calls[0] - cold) / 100 <= 10
+    return (calls[0] - cold) / steps
+
+
+def test_conjugate_scan_warm_steps_stay_cheap(ellipse21, ellipse21_profile,
+                                             monkeypatch):
+    # each scan step warm-starts the solver; a fall back to cold
+    # bracketing would cost 16 or more jets per step
+    assert _warm_jets_per_step(ellipse21, ellipse21_profile, monkeypatch) <= 10
+
+
+def test_conjugate_scan_fitted_guess_saves_jets(ellipse21, ellipse21_profile,
+                                                circle, monkeypatch):
+    # the fitted recurrence guesses the ellipse's quasi-periodic increments
+    # closer than 2 phi1 - phi (8.3 jets per step with that guess alone);
+    # the circle's constant increments make a flat window, whose guess
+    # stays 2 phi1 - phi, already exact there
+    assert _warm_jets_per_step(ellipse21, ellipse21_profile,
+                               monkeypatch) <= 6.6
+    assert _warm_jets_per_step(circle, table_profile(circle),
+                               monkeypatch) <= 2.14
 
 
 def test_detect_conjugate_found_on_mode6_table(mode6_table, mode6_profile):

@@ -207,6 +207,28 @@ def test_orbit_non_finite_start_exits_2(ellipse_spec, tmp_path, psi0, delta0):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("psi0", ["1e17", "1e300", "-1e17", "8388608"])
+def test_orbit_unresolvable_lift_exits_2(ellipse_spec, tmp_path, capsys,
+                                         psi0):
+    # from |psi0| = 2^23 on, neighbouring floats lie farther apart than the
+    # grazing floor, so the start is refused before any numerics
+    out = tmp_path / "trace.csv"
+    code = main(["orbit", ellipse_spec, f"--psi0={psi0}", "--delta0", "0.5",
+                 "--steps", "3", "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: --psi0")
+
+
+@pytest.mark.parametrize("psi0", ["1e6", "8388607.5"])
+def test_orbit_resolvable_lift_runs(ellipse_spec, tmp_path, psi0):
+    out = tmp_path / "trace.csv"
+    assert main(["orbit", ellipse_spec, "--psi0", psi0, "--delta0", "0.5",
+                 "--steps", "3", "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()
+    assert [row.split(",")[0] for row in rows[1:5]] == ["0", "1", "2", "3"]
+
+
 def test_verify_all_ellipse(ellipse_spec, tmp_path):
     out = tmp_path / "report.json"
     code = main(["verify", ellipse_spec, "--suite", "all",
@@ -242,6 +264,14 @@ def test_verify_orthoptic_fails_on_asymmetric_table(write_spec, tmp_path):
 
 def test_verify_rejects_bad_grid(ellipse_spec):
     assert main(["verify", ellipse_spec, "--grid", "1000"]) == 2
+
+
+@pytest.mark.parametrize("n", ["16", "32"])
+def test_integral_rejects_small_grid(ellipse_spec, capsys, n):
+    # a power of two below the chain's 64-point floor is a usage error
+    assert main(["integral", ellipse_spec, "--n", n]) == 2
+    assert capsys.readouterr().err == \
+        f"error: grid size {n} must be a power of two >= 64\n"
 
 
 def test_verify_byte_determinism(ellipse_spec, tmp_path):
