@@ -15,7 +15,8 @@ digests:
   4096 and 65536; at 64 the half-grid checks sum 32 samples.
 - `orbit`: the stdout bytes of `billiard orbit` from `--psi0 0.3
   --delta0 0.7`, 500 steps.
-- `verify`: the stdout bytes of `billiard verify --suite all`.
+- `verify`: the stdout bytes of `billiard verify --suite all` at
+  `--seed` 42 and 7, two draws of the symplectic check's interior lines.
 - `validate`: the stdout bytes of `billiard table validate`.
 - `scan`: the stdout bytes of `billiard beam-scan --max-steps 500` (256
   seed-42 starts).
@@ -55,6 +56,7 @@ LINES, LINE_SEED = 1000, 100
 INTEGRAL_N = (64, 1024, 4096, 65536)
 ORBIT_ARGS = ("--psi0", "0.3", "--delta0", "0.7", "--steps", "500")
 SCAN_ARGS = ("--max-steps", "500")
+VERIFY_SEEDS = (42, 7)
 
 
 def maps_digest(spec, line_seed: int) -> str:
@@ -97,8 +99,10 @@ def main() -> int:
             print(f"{name:10s} integral  {integral}")
             print(f"{name:10s} orbit     "
                   f"{cli_digest(['orbit', str(path), *ORBIT_ARGS])}")
-            print(f"{name:10s} verify    "
-                  f"{cli_digest(['verify', str(path), '--suite', 'all'])}")
+            verify = cli_digest(*(["verify", str(path), "--suite", "all",
+                                   "--seed", str(seed)]
+                                  for seed in VERIFY_SEEDS))
+            print(f"{name:10s} verify    {verify}")
             print(f"{name:10s} validate  "
                   f"{cli_digest(['table', 'validate', str(path)])}")
             print(f"{name:10s} scan      "

@@ -321,11 +321,12 @@ def _reflect(spec: SupportSpec, start_jet, start_psi, delta) -> BoundaryCoord:
 
 def jacobian_check_batch(spec: SupportSpec, p, phi, eps: float = 1e-6):
     """Central finite-difference Jacobian determinant of forward_map_batch,
-    on floats or entrywise on arrays."""
-    pp_p, pf_p, _ = forward_map_batch(spec, p + eps, phi)
-    pp_m, pf_m, _ = forward_map_batch(spec, p - eps, phi)
-    fp_p, ff_p, _ = forward_map_batch(spec, p, phi + eps)
-    fp_m, ff_m, _ = forward_map_batch(spec, p, phi - eps)
+    on floats or entrywise on arrays.  The four stencils are one solve,
+    stacked along a new first axis; the solve is entrywise, so each keeps
+    the bits of its own solve."""
+    (pp_p, pp_m, fp_p, fp_m), (pf_p, pf_m, ff_p, ff_m), _ = forward_map_batch(
+        spec, np.stack([p + eps, p - eps, p, p]),
+        np.stack([phi, phi, phi + eps, phi - eps]))
     return ((pp_p - pp_m) * (ff_p - ff_m) - (fp_p - fp_m) * (pf_p - pf_m)) \
         / (4 * eps * eps)
 

@@ -162,7 +162,7 @@ def cmd_orbit(args) -> int:
         except BilliardError:
             grazed = True
             break
-        if not (1e-9 <= state.delta <= math.pi - 1e-9):
+        if not (DELTA_MIN <= state.delta <= math.pi - DELTA_MIN):
             grazed = True
             break
         x, y = _gamma(jet, state.psi, math)
@@ -216,10 +216,8 @@ def _check_symplectic(spec, seed, tol):
 
 def _check_poncelet(spec, profile, tol):
     starts = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
-    worst = 0.0
-    for psi in starts:
-        quad = verify_parallelogram(spec, profile, float(psi), tol)
-        worst = max(worst, quad.max_residual)
+    quad = verify_parallelogram(spec, profile, starts, tol)
+    worst = float(np.max(quad.max_residual))
     return {"check": "poncelet", "grid": 64, "max_residual": worst,
             "pass": worst <= tol, "tolerance": tol}
 

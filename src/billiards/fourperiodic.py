@@ -17,16 +17,16 @@ identities on a grid.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .beam import BeamState
-from .billmap import BoundaryCoord, boundary_point, chart_to_line, \
-    geometric_reflect
-from .profiles import (AngleProfile, EllipseProfile, Profile, ellipse_profile,
-                       profile_from_modes, validate_profile)
+from .billmap import BoundaryCoord, _bounce, _gamma, _reflect, chart_to_line
+from .profiles import (AngleProfile, EllipseProfile, Profile, _xp,
+                       ellipse_profile, profile_from_modes, validate_profile)
 from .supportfn import EllipseTable, ProfileTable, SupportSpec
 
 __all__ = [
@@ -40,7 +40,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PonceletQuad:
-    """One launched 4-periodic orbit and its defect measurements."""
+    """One launched 4-periodic orbit and its defect measurements; every
+    measured field holds floats, or arrays with one entry per start."""
 
     points: tuple            # P0..P4 as (x, y); P4 is the return point
     psis: tuple              # normal angles at P0..P4 (lifted)
@@ -53,8 +54,12 @@ class PonceletQuad:
     passed: bool
 
     @property
-    def max_residual(self) -> float:
-        return max(self.closure, *self.central_symmetry, *self.half_turn)
+    def max_residual(self):
+        return _worst(self.closure, *self.central_symmetry, *self.half_turn)
+
+
+def _worst(*residuals):
+    return functools.reduce(_xp(residuals[0]).maximum, residuals)
 
 
 def table_profile(spec: SupportSpec):
@@ -70,39 +75,46 @@ def table_profile(spec: SupportSpec):
     return None
 
 
-def verify_parallelogram(spec: SupportSpec, profile, psi: float,
+def verify_parallelogram(spec: SupportSpec, profile, psi,
                          tol: float = 1e-8) -> PonceletQuad:
-    """Launch from (psi, d(psi)), bounce four times, measure the defects.
+    """Launch from (psi, d(psi)), bounce four times, measure the defects;
+    on a float start or entrywise on an array of starts.
 
     Closure |P4 - P0|, the central-symmetry residuals |P2 + P0| and
     |P3 + P1|, and the half-turn residuals |psi_{i+2} - psi_i - pi| are
     all ~0 when {delta = d(psi)} really consists of 4-periodic orbits;
-    `passed` compares the worst of them against tol.
+    `passed` compares the worst of them against tol.  One jet of h per
+    vertex gives its point, its outgoing momentum and the oracle's start.
     """
-    d0 = profile.jet(psi)[0]
-    state = BoundaryCoord(float(psi), float(d0))
-    psis = [state.psi]
-    deltas = [state.delta]
-    points = [boundary_point(spec, state.psi)]
-    momenta = []
+    xp = _xp(psi)
+    if xp is np:
+        # the float jet per start: EllipseProfile's math.acos and
+        # np.arccos differ in the last bit, and a float launch takes acos
+        delta = np.array([profile.jet(s)[0] for s in psi.tolist()])
+    else:
+        psi, delta = float(psi), float(profile.jet(psi)[0])
+    psis, deltas, points, momenta = [psi], [delta], [], []
     for _ in range(4):
-        momenta.append(chart_to_line(spec, state).p)
-        state = geometric_reflect(spec, state.psi, state.delta)
-        psis.append(state.psi)
-        deltas.append(state.delta)
-        points.append(boundary_point(spec, state.psi))
-    pts = np.asarray(points)
-    closure = float(np.hypot(*(pts[4] - pts[0])))
-    central = (float(np.hypot(*(pts[2] + pts[0]))),
-               float(np.hypot(*(pts[3] + pts[1]))))
-    half = (abs(psis[2] - psis[0] - math.pi),
-            abs(psis[3] - psis[1] - math.pi))
-    worst = max(closure, *central, *half)
-    return PonceletQuad(points=tuple(map(tuple, pts)),
-                        psis=tuple(psis), deltas=tuple(deltas[:4]),
-                        momenta=tuple(momenta), closure=closure,
-                        central_symmetry=central, half_turn=half,
-                        tolerance=tol, passed=worst <= tol)
+        jet = spec.jet(psi)
+        points.append(_gamma(jet, psi, xp))
+        momenta.append(_bounce(jet, delta, xp)[1])
+        psi, delta = _reflect(spec, jet, psi, delta)
+        psis.append(psi)
+        deltas.append(delta)
+    points.append(_gamma(spec.jet(psi), psi, xp))
+    # np.hypot on floats too: math.hypot differs from it in the last bit
+    # on some pairs, and a float launch keeps the residuals it reported
+    dist = np.hypot if xp is np else lambda x, y: float(np.hypot(x, y))
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3), (x4, y4) = points
+    closure = dist(x4 - x0, y4 - y0)
+    central = (dist(x2 + x0, y2 + y0), dist(x3 + x1, y3 + y1))
+    half = (xp.abs(psis[2] - psis[0] - math.pi),
+            xp.abs(psis[3] - psis[1] - math.pi))
+    return PonceletQuad(points=tuple(points), psis=tuple(psis),
+                        deltas=tuple(deltas[:4]), momenta=tuple(momenta),
+                        closure=closure, central_symmetry=central,
+                        half_turn=half, tolerance=tol,
+                        passed=_worst(closure, *central, *half) <= tol)
 
 
 def verify_rectangle(spec: SupportSpec, profile, psi: float) -> float:

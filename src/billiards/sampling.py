@@ -70,20 +70,15 @@ def random_interior_lines(spec: SupportSpec, n: int, seed: int,
                           margin: float = 0.05):
     """n seeded lines strictly inside the phase cylinder.
 
+    Per line, in stream order: u1 then u2, all drawn first; then as arrays,
     phi = 2 pi u1; p interpolates the cylinder section
     (-h(phi + pi), h(phi)) with `margin` kept off both ends so finite
     difference stencils stay interior.  Returns (p, phi) arrays.
     """
     rng = SplitMix64(seed)
-    ps = np.empty(n)
-    phis = np.empty(n)
-    for i in range(n):
-        u1 = rng.next_float()
-        u2 = rng.next_float()
-        phi = 2.0 * math.pi * u1
-        hi = spec.jet(phi).h
-        lo = -spec.jet(phi + math.pi).h
-        frac = margin + (1.0 - 2.0 * margin) * u2
-        ps[i] = lo + frac * (hi - lo)
-        phis[i] = phi
-    return ps, phis
+    u1, u2 = np.array([rng.next_float() for _ in range(2 * n)]).reshape(n, 2).T
+    phi = 2.0 * math.pi * u1
+    hi = spec.jet(phi).h
+    lo = -spec.jet(phi + math.pi).h
+    frac = margin + (1.0 - 2.0 * margin) * u2
+    return lo + frac * (hi - lo), phi

@@ -35,6 +35,12 @@ def mode6_table(mode6_profile):
 
 
 @pytest.fixture(scope="session")
+def profile_a_table():
+    # a lone mode-2 of amplitude 0.1, the benchmark's profile-a table
+    return table_from_profile(AngleProfile(((2, 0.1, 0.0),)), 1.0)
+
+
+@pytest.fixture(scope="session")
 def mode2_profile():
     return AngleProfile(((2, 0.2, 0.0),))
 

@@ -355,6 +355,28 @@ def test_jacobian_circle(circle):
         1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("spec_name", ["circle", "ellipse21",
+                                       "profile_a_table", "mode6_table"])
+def test_jacobian_check_batch_equals_four_solves(spec_name, request):
+    # the stacked stencils give the bits of four separate solves, and a
+    # float call the value of its array entry
+    spec = request.getfixturevalue(spec_name)
+    p, phi = random_interior_lines(spec, 64, 31)
+    eps = 1e-6
+    pp_p, pf_p, _ = forward_map_batch(spec, p + eps, phi)
+    pp_m, pf_m, _ = forward_map_batch(spec, p - eps, phi)
+    fp_p, ff_p, _ = forward_map_batch(spec, p, phi + eps)
+    fp_m, ff_m, _ = forward_map_batch(spec, p, phi - eps)
+    expected = ((pp_p - pp_m) * (ff_p - ff_m) - (fp_p - fp_m) * (pf_p - pf_m)) \
+        / (4 * eps * eps)
+    dets = jacobian_check_batch(spec, p, phi)
+    assert dets.shape == (64,)
+    assert dets.tobytes() == expected.tobytes()
+    for i in range(0, 64, 9):
+        assert jacobian_check_batch(spec, float(p[i]), float(phi[i])) \
+            == dets[i]
+
+
 def test_map_on_asymmetric_convex_table():
     # odd harmonics are allowed in the curve kernel; only the operations
     # that assume central symmetry reject them

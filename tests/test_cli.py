@@ -6,10 +6,13 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import billiards
 from billiards.cli import main
+from billiards.fourperiodic import table_profile, verify_parallelogram
+from billiards.supportfn import load_table
 
 
 @pytest.fixture()
@@ -248,6 +251,23 @@ def test_verify_poncelet_mode6(mode6_spec, tmp_path):
                  "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["checks"][0]["max_residual"] <= 1e-8
+
+
+@pytest.mark.parametrize("data", [
+    {"type": "ellipse", "a": 1, "b": 1},
+    {"type": "ellipse", "a": 2, "b": 1},
+    {"type": "profile", "R": 1.0, "d_modes": [[2, 0.1, 0]]},
+    {"type": "profile", "R": 1.0, "d_modes": [[2, 0.1, 0], [6, 0.02, 0]]},
+], ids=["circle", "ellipse21", "profile_a", "mode6"])
+def test_verify_poncelet_reports_worst_float_launch(write_spec, capsys, data):
+    path = write_spec("table.json", data)
+    assert main(["verify", path, "--suite", "poncelet"]) == 0
+    check = json.loads(capsys.readouterr().out)["checks"][0]
+    spec = load_table(path)
+    worst = max(verify_parallelogram(spec, table_profile(spec), psi)
+                .max_residual for psi in
+                np.linspace(0.0, 2 * math.pi, 64, endpoint=False).tolist())
+    assert check["max_residual"] == worst
 
 
 def test_verify_orthoptic_fails_on_asymmetric_table(write_spec, tmp_path):

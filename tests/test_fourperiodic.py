@@ -91,6 +91,30 @@ def test_parallelogram_ellipse_64_starts(ellipse21, ellipse21_profile):
         assert max(quad.half_turn) <= 1e-9
 
 
+@pytest.mark.parametrize("spec_name", ["circle", "ellipse21",
+                                       "profile_a_table", "mode6_table"])
+def test_parallelogram_array_launch_equals_float_launches(spec_name, request):
+    # verify's 64 Poncelet starts as one array launch: every entry has the
+    # bits of its own float launch, field by field
+    spec = request.getfixturevalue(spec_name)
+    profile = table_profile(spec)
+    starts = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
+    batch = verify_parallelogram(spec, profile, starts)
+    assert batch.tolerance == 1e-8
+    for i, psi in enumerate(starts.tolist()):
+        quad = verify_parallelogram(spec, profile, psi)
+        assert quad.psis == tuple(a[i] for a in batch.psis)
+        assert quad.deltas == tuple(a[i] for a in batch.deltas)
+        assert quad.points == tuple((x[i], y[i]) for x, y in batch.points)
+        assert quad.momenta == tuple(a[i] for a in batch.momenta)
+        assert quad.closure == batch.closure[i]
+        assert quad.central_symmetry == tuple(
+            a[i] for a in batch.central_symmetry)
+        assert quad.half_turn == tuple(a[i] for a in batch.half_turn)
+        assert quad.max_residual == batch.max_residual[i]
+        assert quad.passed == batch.passed[i]
+
+
 def test_parallelogram_mode6_table(mode6_table, mode6_profile):
     # the constructed invariant curve really consists of 4-periodic orbits
     for psi in np.linspace(0.0, 2 * math.pi, 32, endpoint=False):
