@@ -13,16 +13,24 @@ so iterating from an arbitrary in-bounds seed is a numerical probe of that
 breakdown, not an invariant object; conjugate_scan reports the first
 verticality crossing of a pushed vertical vector instead, which needs no
 bundle at all.
+
+The scan's cost is the map's implicit solve, one per start and step.  It
+is warm-started by linear prediction of each start's angle increments: on
+an invariant curve, the foliation the paper assumes below the 4-periodic
+curve, they are quasi-periodic and satisfy a linear recurrence with
+constant coefficients, refitted every REFIT steps (see WINDOW below).
 """
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
+
+import numpy as np
 
 from .billmap import (LineCoord, SDerivatives, _check_inside, forward_map,
                       forward_map_batch, s_derivatives)
 from .errors import MonotonicityBreak
-from .profiles import _xp
 from .supportfn import SupportSpec
 
 
@@ -78,34 +86,47 @@ def monotone_bounds(spec: SupportSpec, prev: LineCoord, cur: LineCoord,
     return lower, upper
 
 
-# The scan's warm start fits D_{n+1} + D_{n-1} = c D_n + e to the last
-# WINDOW increments D_n = phi_{n+1} - phi_n of each start; a quasi-periodic
-# g(theta + n omega) with one harmonic satisfies it exactly, c = 2 cos omega.
-# When the increments barely vary (the circle's are constant), c is
-# undetermined and the fit is not used.
-WINDOW = 9          # increments per fit, so WINDOW - 2 triples
-FLAT = 1e-12        # variance of D_n over its mean square that counts as flat
+# The scan's warm start extends each start's angle increments
+# D_n = phi_{n+1} - phi_n.  On an invariant curve they are g(theta + n omega),
+# and a g with K harmonics satisfies the palindromic recurrence of order 2K
+#     D_{n+2K} + D_n = sum_j b_j (D_{n+2K-j} + D_{n+j}) + b_K D_{n+K} + e,
+# j < K, with constant coefficients (linear prediction, as in Prony's method).
+# Until a start has RING increments it fits K = 1, c = 2 cos omega, to the
+# last WINDOW of them (running sums, updated each step).  Once it has RING,
+# and every REFIT steps after that, it fits K = 3 and K = 1 to the last RING
+# and keeps one predictor row over its last ORDER increments: K = 3 where
+# its residual is below PREFER times the K = 1 residual.  When the
+# increments barely vary (the circle's are constant) the coefficients are
+# undetermined and the guess is 2 phi1 - phi (delta conserved).
+WINDOW = 9          # increments per running fit, so WINDOW - 2 triples
+FLAT = 1e-12        # squared spread of D_n over its square that counts as
+                    # flat: the variance for the running fit, the range for
+                    # a refit
+RING = 25           # increments per refit
+REFIT = 64          # steps between refits
+PREFER = 0.3        # rms residual ratio below which K = 3 is used
+ORDER = 6           # the refit's higher order, 2K for K = 3
+RIDGE = 1e-13       # diagonal load of a refit, relative to its trace
 
 
 def _slide(sums, incs):
-    """Running sums (Sx, Sy, Sxx, Sxy) over the window's triples,
-    x = D_k and y = D_{k-1} + D_{k+1}, after incs gained its newest
-    increment: adds the newest triple and, once incs outgrows the window,
-    drops the oldest triple and increment."""
+    """Running sums (Sx, Sy, Sxx, Sxy) over the last WINDOW increments'
+    triples, x = D_k and y = D_{k-1} + D_{k+1}, after incs (the rows,
+    oldest first) gained its newest increment: adds the newest triple
+    and, once incs outgrows the window, drops the oldest one."""
     sx, sy, sxx, sxy = sums
     if len(incs) >= 3:
         x, y = incs[-2], incs[-3] + incs[-1]
         sx, sy, sxx, sxy = sx + x, sy + y, sxx + x * x, sxy + x * y
     if len(incs) > WINDOW:
-        x, y = incs[1], incs[0] + incs[2]
+        x, y = incs[-WINDOW], incs[-WINDOW - 1] + incs[-WINDOW + 1]
         sx, sy, sxx, sxy = sx - x, sy - y, sxx - x * x, sxy - x * y
-        del incs[0]
     return sx, sy, sxx, sxy
 
 
-def _guess(phi1, phi, sums, incs, xp):
-    """Next phi: phi1 + c D_n + e - D_{n-1} from the fitted recurrence, or
-    2 phi1 - phi (delta conserved) while the window is short or flat."""
+def _running_guess(phi1, phi, sums, incs):
+    """Next phi: phi1 + c D_n + e - D_{n-1} from the running K = 1 fit, or
+    2 phi1 - phi while the window is short or flat."""
     delta_kept = 2.0 * phi1 - phi
     if len(incs) < WINDOW:
         return delta_kept
@@ -113,9 +134,113 @@ def _guess(phi1, phi, sums, incs, xp):
     sx, sy, sxx, sxy = sums
     var = n * sxx - sx * sx
     flat = var <= FLAT * n * sxx
-    c = (n * sxy - sx * sy) / xp.where(flat, 1.0, var)
+    c = (n * sxy - sx * sy) / np.where(flat, 1.0, var)
     e = (sy - c * sx) / n
-    return xp.where(flat, delta_kept, phi1 + c * incs[-1] + e - incs[-2])
+    return np.where(flat, delta_kept, phi1 + c * incs[-1] + e - incs[-2])
+
+
+def _total(terms):
+    """Sum of the terms (the rows of an array, or any iterable), added
+    first to last.  The fixed order gives each start's sum the same bits
+    for any number of starts; numpy's sum and einsum pair up terms when
+    the summed axis is contiguous, which it is for a single start."""
+    return functools.reduce(np.add, terms)
+
+
+def _predictors(ring):
+    """Least-squares fits, per start, of the recurrences for K = 3 and
+    K = 1 to its RING increments ring[:, s], oldest first.  Returns the
+    next increment's predictor as (row, const), the increment being
+    const + row . last with last the start's ORDER newest increments:
+    the K = 3 fit where its rms residual is below PREFER times that of the
+    K = 1 fit, else the K = 1 fit."""
+    m = len(ring) - ORDER                               # equations
+    w = [ring[i:i + m] for i in range(ORDER + 1)]       # D_{n+i}, (m, starts)
+    # columns x_1, x_2, x_3 and y = D_n + D_{n+6}, centred, which solves
+    # for e apart from the b_j.  The K = 1 fit over the same equations
+    # regresses x_2 = D_{n+2} + D_{n+4} on x_3 = D_{n+3}, from the same sums
+    a = np.stack([w[1] + w[5], w[2] + w[4], w[3], w[0] + w[6]], axis=1)
+    mean = _total(a) / m
+    a -= mean
+    normal = _total(a[:, :, None] * a[:, None]).transpose(2, 0, 1)
+    gram, rhs = normal[:, :3, :3], normal[:, :3, 3]
+    # a diagonal load far below rounding of the fit keeps a rank-deficient
+    # window (fewer than 3 harmonics) regular; an all-zero one (constant
+    # increments) solves the identity
+    load = RIDGE * np.trace(gram, axis1=1, axis2=2)
+    gram = gram + load[:, None, None] * np.eye(3)
+    gram[load == 0.0] = np.eye(3)
+    b = np.linalg.solve(gram, rhs[..., None])[..., 0].T  # b_1, b_2, b_3
+    sxx, sxy = normal[:, 2, 2], normal[:, 1, 2]
+    c = sxy / np.where(sxx > 0.0, sxx, 1.0)
+    # residual sums of squares, y.y - b.(x.y) at each solution
+    ss3 = normal[:, 3, 3] - _total(b * rhs.T)
+    ss1 = normal[:, 1, 1] - c * sxy
+    use3 = ss3 < PREFER * PREFER * ss1
+    zero = np.zeros_like(c)
+    row3 = (zero - 1.0, b[0], b[1], b[2], b[1], b[0])
+    row1 = (zero, zero, zero, zero, zero - 1.0, c)
+    return (np.where(use3, row3, row1),
+            np.where(use3, mean[3] - _total(b * mean[:3]),
+                     mean[1] - c * mean[2]))
+
+
+def _fit(ring):
+    """Predictor (row, const, flat) per start from its RING increments
+    (_predictors).  flat marks the windows whose increments barely vary,
+    and whose guess stays 2 phi1 - phi; it is None when none is flat, and
+    all three are None when all are."""
+    hi, lo = ring.max(axis=0), ring.min(axis=0)
+    size = np.maximum(np.abs(hi), np.abs(lo))
+    flat = (hi - lo) ** 2 <= FLAT * size * size
+    if np.all(flat):
+        return None, None, None
+    return (*_predictors(ring), flat if np.any(flat) else None)
+
+
+class _WarmStart:
+    """The next-phi guesses of conjugate_scan, from the increments of its
+    live starts: the running K = 1 fit until RING increments exist, then
+    the row fitted at that step and every REFIT steps after it."""
+
+    def __init__(self, n):
+        self.steps = 0
+        # each increment is written to rows head and head + RING, so the
+        # last RING are rows head + 1 .. head + RING, oldest first; before
+        # RING steps the increments so far are rows 0 .. steps - 1
+        self.ring = np.zeros((2 * RING, n))
+        self.head = -1
+        self.sums = (np.zeros(n),) * 4      # Sx, Sy, Sxx, Sxy, until RING
+        self.row = self.const = self.flat = None
+
+    def next(self, phi, phi1):
+        """The guess for the image of phi1, whose preimage is phi."""
+        self.steps += 1
+        self.head = (self.head + 1) % RING
+        self.ring[self.head] = self.ring[self.head + RING] = phi1 - phi
+        if self.steps < RING:
+            incs = self.ring[:self.steps]
+            self.sums = _slide(self.sums, incs)
+            return _running_guess(phi1, phi, self.sums, incs)
+        top = self.head + RING + 1
+        if (self.steps - RING) % REFIT == 0:
+            self.row, self.const, self.flat = _fit(self.ring[top - RING:top])
+        if self.row is None:
+            return 2.0 * phi1 - phi
+        guess = phi1 + (self.const + _total(
+            self.row * self.ring[top - ORDER:top]))
+        if self.flat is not None:
+            guess = np.where(self.flat, 2.0 * phi1 - phi, guess)
+        return guess
+
+    def keep(self, live):
+        """Drop the starts where live is False."""
+        self.ring = self.ring[:, live]
+        self.sums = tuple(s[live] for s in self.sums)
+        if self.row is not None:
+            self.row, self.const = self.row[:, live], self.const[live]
+        if self.flat is not None:
+            self.flat = self.flat[live]
 
 
 def conjugate_scan(spec: SupportSpec, p0, phi0, max_steps: int):
@@ -127,56 +252,59 @@ def conjugate_scan(spec: SupportSpec, p0, phi0, max_steps: int):
     renormalized to unit sup-norm each step; omega-type slopes are
     scale-invariant so this only prevents overflow.
 
-    One start as floats gives an int, many as arrays give an int array:
-    the crossing step per start, -1 when none within max_steps.
+    One start as floats gives an int, many as a 1-d array give an int
+    array: the crossing step per start, -1 when none within max_steps.
+    A float start runs as a one-entry array.
 
-    Each solve is warm-started.  On an invariant curve the increments
-    D_n = phi_{n+1} - phi_n are quasi-periodic, so once a start has WINDOW
-    of them the guess extends the recurrence D_{n+1} + D_{n-1} = c D_n + e
-    fitted to them by least squares (running sums, updated each step);
-    before that, or when the increments barely vary, it is 2 phi1 - phi
+    Each solve is warm-started from the start's angle increments
+    D_n = phi_{n+1} - phi_n, which are quasi-periodic on an invariant
+    curve.  Up to its RING-th increment the guess extends the recurrence
+    D_{n+1} + D_{n-1} = c D_n + e fitted by least squares to the last
+    WINDOW increments (running sums, updated each step).  From then on it
+    is the predictor row fitted to the last RING increments at that step
+    and every REFIT steps after it: order 6 (three harmonics) where that
+    fits the window much better than order 2, else order 2.  The row is
+    applied to the last 6 increments of a ring buffer, one product per
+    step.  When the increments barely vary the guess is 2 phi1 - phi
     (delta conserved).
 
     Only live starts are stepped: a start that crosses leaves the batch,
-    with its guess and fit window, and the scan ends when none is left.
+    with its guess and increments, and the scan ends when none is left.
     Every step works entry by entry, so the result is the same as stepping
     all starts to the end, a float start gets the step of its array entry,
     and a start that has crossed can no longer fail the others.
     """
-    xp = _xp(phi0)
-    p, phi = p0, phi0
-    dp = 1.0 + 0.0 * p
-    dphi = 0.0 * p
+    one = np.ndim(phi0) == 0
+    p, phi = np.atleast_1d(np.asarray(p0, float), np.asarray(phi0, float))
+    dp = np.ones_like(p)
+    dphi = np.zeros_like(p)
     prev_sign = dphi
-    detected = xp.where(dp > 0.0, -1, -1)   # one int -1 per start
+    detected = np.full(p.shape, -1)
     guess = None
-    incs = []                   # the last WINDOW increments, oldest first
-    sums = (dphi,) * 4          # Sx, Sy, Sxx, Sxy over their triples
+    warm = _WarmStart(len(p))
     for step in range(1, max_steps + 1):
         p1, phi1, sd = forward_map_batch(spec, p, phi, guess)
-        incs.append(phi1 - phi)
-        sums = _slide(sums, incs)
-        guess = _guess(phi1, phi, sums, incs, xp)
+        guess = warm.next(phi, phi1)
         dp_next, dphi_next = _push(sd, dp, dphi)
-        norm = xp.maximum(xp.abs(dp_next), xp.abs(dphi_next))
+        norm = np.maximum(np.abs(dp_next), np.abs(dphi_next))
         dp = dp_next / norm
         dphi = dphi_next / norm
         p, phi = p1, phi1
-        sign = xp.sign(dphi)
+        sign = np.sign(dphi)
         if step >= 2:
             crossing = (sign == 0.0) | (sign * prev_sign < 0.0)
-            if xp.all(crossing):    # the last live starts; a float start ends here
-                return xp.where(detected < 0, step, detected)
-            if xp.any(crossing):    # arrays only
+            if np.all(crossing):        # the last live starts
+                detected[detected < 0] = step
+                break
+            if np.any(crossing):
                 # the live starts are the entries still at -1, in order
-                detected[detected < 0] = xp.where(crossing, step, -1)
+                detected[detected < 0] = np.where(crossing, step, -1)
                 live = ~crossing
                 p, phi, dp, dphi, sign, guess = (
                     a[live] for a in (p, phi, dp, dphi, sign, guess))
-                incs = [d[live] for d in incs]
-                sums = tuple(s[live] for s in sums)
+                warm.keep(live)
         prev_sign = sign
-    return detected
+    return int(detected[0]) if one else detected
 
 
 def orbit_lines(spec: SupportSpec, start: LineCoord, steps: int) -> list[LineCoord]:

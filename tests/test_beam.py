@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from billiards.beam import (TangentVector, conjugate_scan, monotone_bounds,
+from billiards.beam import (REFIT, RING, TangentVector, _fit, _predictors,
+                            _WarmStart, conjugate_scan, monotone_bounds,
                             orbit_lines, push_tangent, riccati_step)
 from billiards.billmap import (BoundaryCoord, LineCoord, SDerivatives,
                                chart_to_line, forward_map, forward_map_batch,
@@ -172,42 +174,61 @@ def test_detect_conjugate_none_on_ellipse_region(ellipse21,
 
 
 def _warm_jets_per_step(spec, profile, monkeypatch, steps=100):
-    # table jet calls per step of a 256-start seed-42 scan, less its cold
-    # first step
+    # table jet calls per step of a 256-start seed-42 scan of steps + 1
+    # steps (fewer when every start detects), less its cold first step;
+    # also the detections
     _, _, p, phi = scan_starts(spec, profile, 256, seed=42)
     calls = [0]
+    maps = [0]
     jet = type(spec).jet
 
     def counted(self, psi):
         calls[0] += 1
         return jet(self, psi)
 
+    def counted_map(spec, p, phi, guess=None):
+        maps[0] += 1
+        return forward_map_batch(spec, p, phi, guess)
+
     monkeypatch.setattr(type(spec), "jet", counted)
+    monkeypatch.setattr("billiards.beam.forward_map_batch", counted_map)
     conjugate_scan(spec, p, phi, 1)
     cold = calls[0]
-    calls[0] = 0
+    calls[0] = maps[0] = 0
     detections = conjugate_scan(spec, p, phi, steps + 1)
-    assert np.all(detections < 0)
-    return (calls[0] - cold) / steps
+    return (calls[0] - cold) / (maps[0] - 1), detections
 
 
 def test_conjugate_scan_warm_steps_stay_cheap(ellipse21, ellipse21_profile,
                                              monkeypatch):
     # each scan step warm-starts the solver; a fall back to cold
     # bracketing would cost 16 or more jets per step
-    assert _warm_jets_per_step(ellipse21, ellipse21_profile, monkeypatch) <= 10
+    jets, detections = _warm_jets_per_step(ellipse21, ellipse21_profile,
+                                           monkeypatch)
+    assert np.all(detections < 0)
+    assert jets <= 10
 
 
 def test_conjugate_scan_fitted_guess_saves_jets(ellipse21, ellipse21_profile,
-                                                circle, monkeypatch):
-    # the fitted recurrence guesses the ellipse's quasi-periodic increments
-    # closer than 2 phi1 - phi (8.3 jets per step with that guess alone);
-    # the circle's constant increments make a flat window, whose guess
-    # stays 2 phi1 - phi, already exact there
-    assert _warm_jets_per_step(ellipse21, ellipse21_profile,
-                               monkeypatch) <= 6.6
-    assert _warm_jets_per_step(circle, table_profile(circle),
-                               monkeypatch) <= 2.14
+                                                circle, mode6_table,
+                                                mode6_profile, monkeypatch):
+    # the fitted recurrences guess the ellipse's quasi-periodic increments
+    # closer than 2 phi1 - phi (8.3 jets per step with that guess alone,
+    # 6.2 with the running order-2 fit alone); on mode-6 the order-6 row
+    # helps the starts that stay on an invariant curve.  The circle's
+    # constant increments make a flat window, whose guess stays
+    # 2 phi1 - phi, already exact there
+    for steps, bound in ((100, 5.0), (1000, 4.3)):
+        jets, detections = _warm_jets_per_step(ellipse21, ellipse21_profile,
+                                               monkeypatch, steps)
+        assert np.all(detections < 0)
+        assert jets <= bound
+    jets, detections = _warm_jets_per_step(mode6_table, mode6_profile,
+                                           monkeypatch, 1000)
+    assert np.any(detections >= 0)
+    assert jets <= 5.63
+    jets, _ = _warm_jets_per_step(circle, table_profile(circle), monkeypatch)
+    assert jets <= 2.14
 
 
 def test_detect_conjugate_found_on_mode6_table(mode6_table, mode6_profile):
@@ -220,14 +241,129 @@ def test_detect_conjugate_found_on_mode6_table(mode6_table, mode6_profile):
     assert step == detections[idx]
 
 
-def test_conjugate_scan_entries_equal_float_scans(mode6_table, mode6_profile):
-    # each start, detected or not, gets the step its own float scan gives
+def _recorded_scan(monkeypatch, spec, p, phi, max_steps):
+    # the scan's detections and the (phi, guess) of each of its steps
+    record = []
+
+    def recording(spec, p, phi, guess=None):
+        record.append((phi, guess))
+        return forward_map_batch(spec, p, phi, guess)
+
+    monkeypatch.setattr("billiards.beam.forward_map_batch", recording)
+    return conjugate_scan(spec, p, phi, max_steps), record
+
+
+def test_conjugate_scan_entries_equal_float_scans(mode6_table, mode6_profile,
+                                                 monkeypatch):
+    # each start, detected or not, gets the step its own float scan gives.
+    # It leaves the batch with its increments and fitted row, so its phi
+    # and guess at every step are also the bits of its own scan; a
+    # mis-compacted row would cost jets only, not change a detection
     _, _, p, phi = scan_starts(mode6_table, mode6_profile, 64, seed=9)
-    detections = conjugate_scan(mode6_table, p, phi, 200)
+    max_steps = 200
+    detections, record = _recorded_scan(monkeypatch, mode6_table, p, phi,
+                                        max_steps)
     assert np.any(detections >= 0) and np.any(detections < 0)
-    singles = [conjugate_scan(mode6_table, float(p[i]), float(phi[i]), 200)
-               for i in range(64)]
-    assert detections.tolist() == singles
+    ends = np.where(detections < 0, max_steps, detections)
+    # starts leave before the first fit, between the fits and after them
+    assert np.any(ends < RING) and np.any(ends > RING + REFIT)
+    assert np.any((RING < ends) & (ends < RING + REFIT))
+    for i in range(64):
+        single, own = _recorded_scan(monkeypatch, mode6_table, float(p[i]),
+                                     float(phi[i]), max_steps)
+        assert single == detections[i]
+        assert len(own) == ends[i]
+        for step, (phi_s, guess_s) in enumerate(own):
+            # entry i's position among the starts live at this step
+            pos = int(np.sum(ends[:i] > step))
+            phi_b, guess_b = record[step]
+            assert phi_s.tobytes() == phi_b[pos:pos + 1].tobytes()
+            if step == 0:
+                assert guess_s is None and guess_b is None
+            else:
+                assert guess_s.tobytes() == guess_b[pos:pos + 1].tobytes()
+
+
+def _harmonic_increments(amps, steps=RING + 1, starts=8, omega=0.7):
+    # D_n = 1.3 + sum_k a_k cos(k (theta + n omega) + 0.3 k), one column
+    # per start phase theta
+    n = np.arange(steps)[:, None]
+    theta = np.linspace(0.1, 6.0, starts)[None, :]
+    d = np.full((steps, starts), 1.3)
+    for k, a in enumerate(amps, 1):
+        d = d + a * np.cos(k * (theta + n * omega) + 0.3 * k)
+    return d
+
+
+def _next_increment(row, const, ring):
+    return const + np.einsum("ks,ks->s", row, ring[-len(row):])
+
+
+def test_fit_predicts_three_harmonics():
+    # three harmonics plus a constant satisfy the order-6 recurrence, so
+    # the next increment is predicted to rounding
+    d = _harmonic_increments((0.3, 0.1, 0.03))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        row, const, flat = _fit(d[:RING])
+    assert flat is None
+    assert np.max(np.abs(_next_increment(row, const, d[:RING])
+                         - d[RING])) <= 1e-10
+
+
+@pytest.mark.parametrize("amps", [(0.3,), ()], ids=["one_harmonic", "flat"])
+def test_fit_rank_deficient_windows_stay_finite(amps):
+    # one harmonic or none leaves the order-6 normal equations singular,
+    # and none the order-2 one too; the fit neither raises nor warns, and
+    # still predicts.  _fit leaves a flat window unfitted
+    d = _harmonic_increments(amps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        row, const = _predictors(d[:RING])
+        fitted = _fit(d[:RING])
+    assert np.all(np.isfinite(row)) and np.all(np.isfinite(const))
+    assert np.max(np.abs(_next_increment(row, const, d[:RING])
+                         - d[RING])) <= 1e-10
+    if amps:
+        assert fitted[2] is None
+        assert np.array_equal(fitted[0], row)
+    else:
+        assert fitted == (None, None, None)
+
+
+def test_fit_empty_window():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _fit(np.empty((RING, 0))) == (None, None, None)
+        row, const = _predictors(np.empty((RING, 0)))
+        assert row.shape == (6, 0) and const.shape == (0,)
+        warm = _WarmStart(0)
+        for _ in range(RING + REFIT + 1):
+            assert warm.next(np.empty(0), np.empty(0)).shape == (0,)
+
+
+@pytest.mark.parametrize("with_varying", [True, False])
+def test_warm_start_flat_window_keeps_delta(with_varying):
+    # a start with constant increments (flat) gets exactly 2 phi1 - phi
+    # after every fit, whether or not other starts are fitted beside it;
+    # a three-harmonic start gets its next phi to rounding
+    steps = RING + 2 * REFIT + 5
+    d = _harmonic_increments((0.3, 0.1, 0.03), steps=steps + 1, starts=3)
+    d[:, 0] = 1.25
+    if not with_varying:
+        d = d[:, :1]
+    phis = np.concatenate([np.full((1, d.shape[1]), 0.5),
+                           0.5 + np.cumsum(d, axis=0)])
+    warm = _WarmStart(d.shape[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in range(steps):
+            phi, phi1 = phis[n], phis[n + 1]
+            guess = warm.next(phi, phi1)
+            assert np.all(np.isfinite(guess))
+            if n + 1 >= RING:
+                assert guess[0] == 2.0 * phi1[0] - phi[0]
+                assert np.all(np.abs(guess[1:] - phis[n + 2, 1:]) <= 1e-9)
 
 
 @pytest.mark.parametrize("table, profile", [

@@ -345,6 +345,20 @@ def test_beam_scan_mode6_detects(mode6_spec, tmp_path):
     assert all(d["step"] >= 2 for d in report["detections"])
 
 
+@pytest.mark.parametrize("starts", [0, 1])
+def test_beam_scan_edge_start_counts(ellipse_spec, tmp_path, starts):
+    # no start at all, and one start that runs past the first refit of
+    # its warm start (step 25) to max_steps: the usual report either way
+    out = tmp_path / "scan.json"
+    assert main(["beam-scan", ellipse_spec, "--starts", str(starts),
+                 "--max-steps", "100", "--seed", "42",
+                 "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report == {"table": {"type": "ellipse", "a": 2.0, "b": 1.0},
+                      "starts": starts, "max_steps": 100, "seed": 42,
+                      "threads": 1, "detections": [], "detection_count": 0}
+
+
 def test_beam_scan_byte_determinism(mode6_spec, tmp_path):
     blobs = []
     for name in ("s1.json", "s2.json"):
