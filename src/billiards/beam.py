@@ -94,7 +94,7 @@ def monotone_bounds(spec: SupportSpec, prev: LineCoord, cur: LineCoord,
 # Until a start has RING increments it fits K = 1, c = 2 cos omega, to the
 # last WINDOW of them (running sums, updated each step).  Once it has RING,
 # and every REFIT steps after that, it fits K = 3 and K = 1 to the last RING
-# and keeps one predictor row over its last ORDER increments: K = 3 where
+# and keeps one predictor row over its last 6 increments: K = 3 where
 # its residual is below PREFER times the K = 1 residual.  When the
 # increments barely vary (the circle's are constant) the coefficients are
 # undetermined and the guess is 2 phi1 - phi (delta conserved).
@@ -105,7 +105,6 @@ FLAT = 1e-12        # squared spread of D_n over its square that counts as
 RING = 25           # increments per refit
 REFIT = 64          # steps between refits
 PREFER = 0.3        # rms residual ratio below which K = 3 is used
-ORDER = 6           # the refit's higher order, 2K for K = 3
 RIDGE = 1e-13       # diagonal load of a refit, relative to its trace
 
 
@@ -151,11 +150,12 @@ def _predictors(ring):
     """Least-squares fits, per start, of the recurrences for K = 3 and
     K = 1 to its RING increments ring[:, s], oldest first.  Returns the
     next increment's predictor as (row, const), the increment being
-    const + row . last with last the start's ORDER newest increments:
+    const + row . last with last the start's 6 newest increments:
     the K = 3 fit where its rms residual is below PREFER times that of the
     K = 1 fit, else the K = 1 fit."""
-    m = len(ring) - ORDER                               # equations
-    w = [ring[i:i + m] for i in range(ORDER + 1)]       # D_{n+i}, (m, starts)
+    # each equation spans 7 increments, order 2K = 6 for K = 3
+    m = len(ring) - 6                                   # equations
+    w = [ring[i:i + m] for i in range(7)]               # D_{n+i}, (m, starts)
     # columns x_1, x_2, x_3 and y = D_n + D_{n+6}, centred, which solves
     # for e apart from the b_j.  The K = 1 fit over the same equations
     # regresses x_2 = D_{n+2} + D_{n+4} on x_3 = D_{n+3}, from the same sums
@@ -188,14 +188,14 @@ def _predictors(ring):
 def _fit(ring):
     """Predictor (row, const, flat) per start from its RING increments
     (_predictors).  flat marks the windows whose increments barely vary,
-    and whose guess stays 2 phi1 - phi; it is None when none is flat, and
-    all three are None when all are."""
+    and whose guess stays 2 phi1 - phi; all three are None when every
+    window is flat, and nothing is fitted."""
     hi, lo = ring.max(axis=0), ring.min(axis=0)
     size = np.maximum(np.abs(hi), np.abs(lo))
     flat = (hi - lo) ** 2 <= FLAT * size * size
     if np.all(flat):
         return None, None, None
-    return (*_predictors(ring), flat if np.any(flat) else None)
+    return (*_predictors(ring), flat)
 
 
 class _WarmStart:
@@ -228,10 +228,8 @@ class _WarmStart:
         if self.row is None:
             return 2.0 * phi1 - phi
         guess = phi1 + (self.const + _total(
-            self.row * self.ring[top - ORDER:top]))
-        if self.flat is not None:
-            guess = np.where(self.flat, 2.0 * phi1 - phi, guess)
-        return guess
+            self.row * self.ring[top - len(self.row):top]))
+        return np.where(self.flat, 2.0 * phi1 - phi, guess)
 
     def keep(self, live):
         """Drop the starts where live is False."""
@@ -239,7 +237,6 @@ class _WarmStart:
         self.sums = tuple(s[live] for s in self.sums)
         if self.row is not None:
             self.row, self.const = self.row[:, live], self.const[live]
-        if self.flat is not None:
             self.flat = self.flat[live]
 
 
