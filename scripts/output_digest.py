@@ -1,8 +1,10 @@
 """SHA-256 digests of the numerical outputs, to compare two checkouts.
 
-    python3 scripts/output_digest.py
+    python3 scripts/output_digest.py [--src DIR]
 
-Run from the root of a checkout; the package is imported from its `src/`.
+The package is imported from `DIR`, by default the `src/` of the checkout
+that holds this script, so one version of the script can digest two trees
+(say, `git archive` exports of a parent commit and of a change).
 For each table of the benchmark (`perfbench/workloads.py`) it prints six
 digests:
 
@@ -31,6 +33,7 @@ and not a test for that reason.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -40,15 +43,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from billiards.billmap import forward_map_batch, jacobian_check_batch  # noqa: E402
-from billiards.cli import main as cli_main  # noqa: E402
-from billiards.errors import SolverError  # noqa: E402
-from billiards.fourperiodic import table_profile  # noqa: E402
-from billiards.sampling import random_interior_lines, scan_starts  # noqa: E402
-from billiards.supportfn import table_from_dict  # noqa: E402
 from workloads import TABLE_SPECS  # noqa: E402
 
 STARTS, STEPS, SCAN_SEED = 256, 200, 42
@@ -60,6 +56,11 @@ VERIFY_SEEDS = (42, 7)
 
 
 def maps_digest(spec, line_seed: int) -> str:
+    from billiards.billmap import forward_map_batch, jacobian_check_batch
+    from billiards.errors import SolverError
+    from billiards.fourperiodic import table_profile
+    from billiards.sampling import random_interior_lines, scan_starts
+
     digest = hashlib.sha256()
     try:
         _, _, p, phi = scan_starts(spec, table_profile(spec), STARTS, SCAN_SEED)
@@ -77,6 +78,8 @@ def maps_digest(spec, line_seed: int) -> str:
 
 def cli_digest(*argvs: list[str]) -> str:
     """Digest of the exit codes and stdout bytes of `billiard` commands."""
+    from billiards.cli import main as cli_main
+
     digest = hashlib.sha256()
     for argv in argvs:
         out = io.StringIO()
@@ -87,7 +90,15 @@ def cli_digest(*argvs: list[str]) -> str:
     return digest.hexdigest()
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="directory holding the billiards package "
+                             "(default: this checkout's src/)")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(args.src.resolve()))
+    from billiards.supportfn import table_from_dict
+
     with tempfile.TemporaryDirectory() as tmp:
         for i, (name, data) in enumerate(TABLE_SPECS.items()):
             path = Path(tmp) / f"{name}.json"

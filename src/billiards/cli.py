@@ -3,8 +3,8 @@
 Machine output (JSON reports, CSV traces) goes to stdout or --out and is
 byte-deterministic for a fixed configuration; human-readable notes go to
 stderr.  Exit codes: 0 success / all checks pass, 1 validation or check
-failure, 2 parse error, 3 grazing ray mid-orbit, 4 unsupported table
-representation.
+failure, 2 parse or usage error (e.g. a grid or start count above
+MAX_POINTS), 3 grazing ray mid-orbit, 4 unsupported table representation.
 """
 
 from __future__ import annotations
@@ -29,6 +29,11 @@ from .sampling import random_interior_lines, scan_starts
 from .supportfn import EllipseTable, ProfileTable, is_centrally_symmetric, \
     load_table, symmetry_defect, table_to_dict, validate_table
 from .wirtinger import reduction_chain
+
+
+# largest --grid, --n or --starts: a run at this size peaks near 1 GB
+# (beam-scan, about 1 KB per start), well inside an 8 GB machine
+MAX_POINTS = 2**20
 
 
 def _fmt(x: float) -> str:
@@ -60,6 +65,10 @@ class RunConfig:
         if self.command == "integral" and self.grid < 64:
             raise ValueError(f"grid size {self.grid} must be a power of two "
                              ">= 64")
+        if self.grid > MAX_POINTS:
+            raise ValueError(f"grid size {self.grid} exceeds {MAX_POINTS}")
+        if self.starts > MAX_POINTS:
+            raise ValueError(f"starts {self.starts} exceeds {MAX_POINTS}")
         if not self.tol > 0.0:
             raise ValueError(f"tolerance {self.tol} must be positive")
         for name in ("steps", "starts", "max_steps"):

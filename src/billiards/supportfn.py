@@ -149,8 +149,11 @@ class ProfileTable:
 def _profile_support_jet(R: float, d, dp, ddp) -> Jet2:
     """The 2-jet of h = R sin d from the profile's 2-jet (d, d', d'')."""
     xp = _xp(d)
-    sd = xp.sin(d)
-    cd = xp.cos(d)
+    return _support_jet_sc(R, xp.sin(d), xp.cos(d), dp, ddp)
+
+
+def _support_jet_sc(R: float, sd, cd, dp, ddp) -> Jet2:
+    """_profile_support_jet from sd = sin d and cd = cos d."""
     return Jet2(R * sd, R * cd * dp, R * (cd * ddp - sd * dp * dp))
 
 

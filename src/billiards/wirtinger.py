@@ -24,6 +24,13 @@ rather than re-derived from the previous stage; the point of this module
 is to certify the chain numerically, which only means something if the
 stages stay independent.  Quadratures take the correctly rounded sum (by
 exact extraction: math.fsum's bits), as the integrals cancel at size R^4.
+
+reduction_chain walks its grid in blocks of BLOCK points.  Per block it
+takes one profile jet and one _Trig record (sin and cos of d, 2d, 4d)
+that every stage reads, and splits each stage's samples into exact parts
+(_exact_parts); one math.fsum over a quadrature's parts from all blocks
+gives the bits of math.fsum over the whole grid.  Temporaries are O(BLOCK);
+only mu = cos 2d is kept whole, for the FFT gap and max |mu|.
 """
 
 from __future__ import annotations
@@ -39,7 +46,13 @@ from .billmap import LineCoord, forward_map_batch
 from .errors import AliasingWarning, NoRealCaustic
 from .profiles import _xp, validate_profile
 from .supportfn import ProfileTable, SupportSpec, _profile_support_jet, \
-    ellipse_support, validate_table
+    _support_jet_sc, ellipse_support, validate_table
+
+
+# points per reduction_chain block: its float64 temporaries (64 KB) stay
+# under glibc's 128 KB mmap threshold, so they are reused from the heap
+# rather than faulted in as fresh pages on every call
+BLOCK = 8192
 
 
 # --- periodic grids ----------------------------------------------------------
@@ -77,15 +90,24 @@ def periodic_quadrature(samples: PeriodicSamples) -> float:
 
 
 def _exact_sum(values: np.ndarray) -> float:
-    """math.fsum(values.tolist()), by error-free extraction (Rump, Ogita &
-    Oishi 2008): with |r| <= m < 2^e and 2^k >= n + 2, each level splits r
-    into q = (sigma + r) - sigma, sigma = 2^(e + k), a multiple of 2^-53
-    sigma with |q| <= 2^e that np.sum adds exactly, and the exact r - q.
-    Non-finite and near-overflow input goes to fsum whole."""
+    """math.fsum(values.tolist()), from the exact parts of values."""
+    return math.fsum(_exact_parts(values))
+
+
+def _exact_parts(values: np.ndarray) -> list:
+    """Floats whose exact sum is that of values, so that math.fsum of the
+    parts of any blocks of an array gives the bits of math.fsum over it.
+
+    Error-free extraction (Rump, Ogita & Oishi 2008): with |r| <= m < 2^e
+    and 2^k >= n + 2, each level splits r into q = (sigma + r) - sigma,
+    sigma = 2^(e + k), a multiple of 2^-53 sigma with |q| <= 2^e that
+    np.sum adds exactly, and the exact r - q.  The few entries left are
+    parts themselves.  Non-finite and near-overflow input is its own parts,
+    so fsum meets its non-finite and huge items in the array's order."""
     n = values.shape[0]
     m = float(np.max(np.abs(values), initial=0.0))
     if not m < 2.0**900:
-        return math.fsum(values.tolist())
+        return values.tolist()
     k, r, parts = (n + 1).bit_length(), values, []
     while True:
         sigma = math.ldexp(1.0, math.frexp(m)[1] + k)
@@ -94,7 +116,7 @@ def _exact_sum(values: np.ndarray) -> float:
         r = r - q
         left = r != 0.0
         if 16 * np.count_nonzero(left) <= n:    # fsum finishes the few left
-            return math.fsum(parts + r[left].tolist())
+            return parts + r[left].tolist()
         m = float(np.max(np.abs(r)))
 
 
@@ -147,10 +169,15 @@ def integrand_U(spec: SupportSpec, profile, psi):
 
 def _u_from_jets(jet, d):
     xp = _xp(d)
+    return _u_from_sin(jet, d, xp.sin(2.0 * d), xp.sin(4.0 * d))
+
+
+def _u_from_sin(jet, d, s2, s4):
+    """_u_from_jets from s2 = sin 2d and s4 = sin 4d."""
     h, dh, ddh = jet
     rho = h + ddh
-    w_low = 0.5 * d - 0.25 * xp.sin(2.0 * d)
-    w_high = 0.125 * d - xp.sin(4.0 * d) / 32.0
+    w_low = 0.5 * d - 0.25 * s2
+    w_high = 0.125 * d - s4 / 32.0
     return -h * dh * dh * rho * w_low + (ddh * h * h + 3.0 * h * dh * dh) * rho * w_high
 
 
@@ -174,14 +201,27 @@ def split_U(profile, R: float, psi):
 # --- the reduction chain in d-only form ---------------------------------------
 #
 # q denotes (d')^2 below; every expression is the printed closed form.
+# The stages read sin and cos of d, 2d and 4d from one _Trig record.
 
 
-def _u_parts_d(d, dp, ddp, R):
+class _Trig(NamedTuple):
+    s: np.ndarray     # sin d
+    c: np.ndarray     # cos d
+    s2: np.ndarray    # sin 2d
+    c2: np.ndarray    # cos 2d
+    s4: np.ndarray    # sin 4d
+    c4: np.ndarray    # cos 4d
+
+
+def _trig(d) -> _Trig:
+    d2, d4 = 2.0 * d, 4.0 * d
+    return _Trig(np.sin(d), np.cos(d), np.sin(d2), np.cos(d2),
+                 np.sin(d4), np.cos(d4))
+
+
+def _u_parts_d(d, dp, ddp, R, t: _Trig):
     q = dp * dp
-    s = np.sin(d)
-    c = np.cos(d)
-    s2 = np.sin(2.0 * d)
-    s4 = np.sin(4.0 * d)
+    s, c, s2, s4 = t.s, t.c, t.s2, t.s4
     R4 = R**4
     u1 = (R4 / 8.0) * q * s2 * s2 * ((1.0 - q) * 0.5 * s2 + ddp * c * c)
     u2 = -(R4 / 32.0) * s4 * ((1.0 - q) * s * s + 0.5 * s2 * ddp) \
@@ -190,12 +230,9 @@ def _u_parts_d(d, dp, ddp, R):
     return u1, u2, u3
 
 
-def _v_parts_d(d, dp, ddp, R):
+def _v_parts_d(d, dp, ddp, R, t: _Trig):
     q = dp * dp
-    c = np.cos(d)
-    s2 = np.sin(2.0 * d)
-    c2 = np.cos(2.0 * d)
-    s4 = np.sin(4.0 * d)
+    c, s2, c2, s4 = t.c, t.s2, t.c2, t.s4
     R4 = R**4
     v1 = (R4 / 16.0) * q * s2 * s2 * ((1.0 - q) * s2 + ddp * c2)
     v2 = (R4 / 128.0) * s4 * (2.0 * q * (q - 1.0) * c2 - ddp * (1.0 + q) * s2)
@@ -206,11 +243,9 @@ def _v_parts_d(d, dp, ddp, R):
     return v1, v2, v3
 
 
-def _w_parts_d(d, dp, ddp, R):
+def _w_parts_d(d, dp, ddp, R, t: _Trig):
     q = dp * dp
-    s2 = np.sin(2.0 * d)
-    c2 = np.cos(2.0 * d)
-    c4 = np.cos(4.0 * d)
+    s2, c2, c4 = t.s2, t.c2, t.c4
     R4 = R**4
     w1 = (R4 / 16.0) * (s2**3 * q
                         - (4.0 * c2 * c2 * s2 + s2**3) * (q * q / 3.0))
@@ -221,10 +256,9 @@ def _w_parts_d(d, dp, ddp, R):
     return w1, w2, w3
 
 
-def _w_combined_d(d, dp, ddp, R):
+def _w_combined_d(d, dp, ddp, R, t: _Trig):
     q = dp * dp
-    s2 = np.sin(2.0 * d)
-    c4 = np.cos(4.0 * d)
+    s2, c4 = t.s2, t.c4
     R4 = R**4
     return (-(math.pi * R4 / 32.0) * s2 * s2 * q
             + (math.pi * R4 / 192.0) * (3.0 - c4) * q * q
@@ -238,8 +272,11 @@ def mu_jet(profile, psi):
 
 def _mu_from_jet(d, dp, ddp):
     xp = _xp(d)
-    s2 = xp.sin(2.0 * d)
-    mu = xp.cos(2.0 * d)
+    return _mu_from_sc(xp.sin(2.0 * d), xp.cos(2.0 * d), dp, ddp)
+
+
+def _mu_from_sc(s2, mu, dp, ddp):
+    """_mu_from_jet from s2 = sin 2d and mu = cos 2d."""
     dmu = -2.0 * s2 * dp
     ddmu = -4.0 * mu * dp * dp - 2.0 * s2 * ddp
     return mu, dmu, ddmu
@@ -322,10 +359,6 @@ class IntegralReport:
         return data
 
 
-def _quad_pi(values: np.ndarray) -> float:
-    return (math.pi / values.shape[0]) * _exact_sum(values)
-
-
 def reduction_chain(profile, R: float, n: int = 1024, *,
                     require_convex: bool = True,
                     identity_tol: float = 1e-6,
@@ -346,26 +379,33 @@ def reduction_chain(profile, R: float, n: int = 1024, *,
     if require_convex:
         validate_table(table)
 
-    # every stage reads the same profile samples: one jet on the grid
-    d, dp, ddp = profile.jet(_pi_grid(n))
-    mu, dmu, ddmu = _mu_from_jet(d, dp, ddp)
-
-    u_direct = _u_from_jets(_profile_support_jet(R, d, dp, ddp), d)
-    u1, u2, u3 = _u_parts_d(d, dp, ddp, R)
-    v1, v2, v3 = _v_parts_d(d, dp, ddp, R)
-    w1, w2, w3 = _w_parts_d(d, dp, ddp, R)
-    p_vals = _p_from_mu(dmu, ddmu, R)
-
-    I_U_direct = _quad_pi(u_direct)
-    I_U = tuple(_quad_pi(u) for u in (u1, u2, u3))
-    I_V = tuple(_quad_pi(v) for v in (v1, v2, v3))
-    I_W = tuple(_quad_pi(w) for w in (w1, w2, w3))
-    I_W_combined = _quad_pi(_w_combined_d(d, dp, ddp, R))
-    I_P = _quad_pi(p_vals)
-
-    # grid halving reuses every other sample (same chain at n/2)
-    I_U_half = _quad_pi(u_direct[::2])
-    I_P_half = _quad_pi(p_vals[::2])
+    # per block every stage reads one profile jet and one _Trig record;
+    # each quadrature collects its exact parts, block by block: U, U1-U3,
+    # V1-V3, W1-W3, W, P, then U and P on the half grid (every other
+    # sample, the same chain at n/2; BLOCK is even)
+    mu = np.empty(n)
+    parts = [[] for _ in range(14)]
+    for lo in range(0, n, BLOCK):
+        hi = min(lo + BLOCK, n)
+        d, dp, ddp = profile.jet(np.arange(lo, hi) * (math.pi / n))
+        t = _trig(d)
+        mu[lo:hi] = t.c2
+        _, dmu, ddmu = _mu_from_sc(t.s2, t.c2, dp, ddp)
+        u_direct = _u_from_sin(_support_jet_sc(R, t.s, t.c, dp, ddp), d,
+                               t.s2, t.s4)
+        p_vals = _p_from_mu(dmu, ddmu, R)
+        stages = (u_direct, *_u_parts_d(d, dp, ddp, R, t),
+                  *_v_parts_d(d, dp, ddp, R, t),
+                  *_w_parts_d(d, dp, ddp, R, t),
+                  _w_combined_d(d, dp, ddp, R, t), p_vals,
+                  u_direct[::2], p_vals[::2])
+        for collected, values in zip(parts, stages):
+            collected += _exact_parts(values)
+    full = [(math.pi / n) * math.fsum(c) for c in parts[:12]]
+    I_U_half, I_P_half = ((math.pi / (n // 2)) * math.fsum(c)
+                          for c in parts[12:])
+    I_U_direct, I_W_combined, I_P = full[0], full[10], full[11]
+    I_U, I_V, I_W = tuple(full[1:4]), tuple(full[4:7]), tuple(full[7:10])
 
     mu_max = float(np.max(np.abs(mu)))
     gap_fft = _gap_from_mu(mu, R)

@@ -294,6 +294,20 @@ def test_integral_rejects_small_grid(ellipse_spec, capsys, n):
         f"error: grid size {n} must be a power of two >= 64\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["integral", "--n", "1099511627776"],
+     "grid size 1099511627776 exceeds 1048576"),
+    (["verify", "--grid", "1099511627776"],
+     "grid size 1099511627776 exceeds 1048576"),
+    (["beam-scan", "--starts", "10000000000000"],
+     "starts 10000000000000 exceeds 1048576"),
+], ids=["integral-n", "verify-grid", "beam-scan-starts"])
+def test_oversized_run_is_usage_error(ellipse_spec, capsys, argv, message):
+    # refused before any array is allocated: exit 2, one line, no traceback
+    assert main([argv[0], ellipse_spec, *argv[1:]]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_verify_byte_determinism(ellipse_spec, tmp_path):
     blobs = []
     for name in ("r1.json", "r2.json"):

@@ -1,6 +1,8 @@
+import itertools
 import math
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +15,8 @@ from billiards.billmap import LineCoord, p_of, s_derivatives
 from billiards.errors import AliasingWarning, NoRealCaustic
 from billiards.fourperiodic import AngleProfile, ellipse_profile
 from billiards.supportfn import ProfileTable, ellipse_support
-from billiards.wirtinger import (PeriodicSamples, _exact_sum,
+from billiards.wirtinger import (BLOCK, IntegralReport, PeriodicSamples,
+                                 _exact_parts, _exact_sum,
                                  equality_reconstruct,
                                  hopf_identity_ellipse,
                                  integrand_P, integrand_U, integrand_inner,
@@ -159,24 +162,58 @@ def ties_array(seed):
     return rng.choice(np.array(TIES), 65536) * rng.choice((1.0, -1.0), 65536)
 
 
-@settings(max_examples=200, deadline=None)
-@given(sum_arrays())
-@example(np.random.default_rng(0).standard_normal(65536))
-@example(wide_array(1))
-@example(cancelling_array(2))
-@example(sparse_array(3))
-@example(ties_array(4))
-@example(np.full(65536, -0.0))
-@example(np.zeros(0))
-def test_exact_sum_equals_fsum(values):
+# the fallback to raw values: overflow, inf - inf, nan, and >= 2^900
+FALLBACKS = (
+    np.array([1.7e308, 1.0, 2.0, 1.7e308, -1.7e308]),
+    np.array([math.inf, 1.0, 2.0, -math.inf, 3.0]),
+    np.array([1.0, math.nan, 2.0, math.inf, 3.0]),
+    np.array([2.0**900, 1.0, 2.0, -2.0**900, 2.0**-1000]),
+)
+
+
+def sum_examples(*cuts):
+    """The fixed arrays of the exact-sum properties as @examples, each
+    followed by the cuts given."""
+    def apply(test):
+        for values in (np.random.default_rng(0).standard_normal(65536),
+                       wide_array(1), cancelling_array(2), sparse_array(3),
+                       ties_array(4), np.full(65536, -0.0), np.zeros(0),
+                       *FALLBACKS):
+            test = example(values, *cuts)(test)
+        return test
+    return apply
+
+
+def assert_sums_like_fsum(values, exact):
+    """exact(values) has the bits of math.fsum over values, or raises the
+    same exception with the same message."""
     try:
         want = math.fsum(values.tolist())
     except (ValueError, OverflowError) as exc:
         with pytest.raises(type(exc), match=re.escape(str(exc))):
-            _exact_sum(values)
+            exact(values)
         return
     # bit for bit: the sign of zero and the nan payload included
-    assert struct.pack("<d", _exact_sum(values)) == struct.pack("<d", want)
+    assert struct.pack("<d", exact(values)) == struct.pack("<d", want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sum_arrays())
+@sum_examples()
+def test_exact_sum_equals_fsum(values):
+    assert_sums_like_fsum(values, _exact_sum)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sum_arrays(), st.lists(st.integers(0, 4096), max_size=6))
+@sum_examples([1, 3, 3, BLOCK, 30001, 65535])
+def test_exact_parts_over_blocks_equal_fsum(values, cuts):
+    # any split into blocks, empty ones included: one fsum over all parts
+    def blockwise(values):
+        blocks = np.split(values, sorted(cuts))
+        return math.fsum([part for block in blocks
+                          for part in _exact_parts(block)])
+    assert_sums_like_fsum(values, blockwise)
 
 
 # --- integrands ---------------------------------------------------------------
@@ -364,40 +401,86 @@ def test_reduction_chain_equals_public_route(profile_zoo, n):
 
 
 def fsum_quadrature(values):
-    """The quadrature the chain once ran, math.fsum over a list: the bit
-    reference for its exact numpy summation."""
+    """Rectangle rule over math.fsum of a list: the bit reference for the
+    chain's blockwise exact sums."""
     return (math.pi / values.shape[0]) * math.fsum(values.tolist())
 
 
-@pytest.mark.parametrize("n", [64, 4096, 65536])
-def test_reduction_chain_equals_fsum_quadrature(profile_zoo, n, monkeypatch):
-    # at n = 64 the half-grid checks conv_delta_U/P sum 32 samples
+def fsum_chain_report(profile, R, n):
+    """The chain's report from whole-grid stage arrays, each summed by
+    math.fsum: no blocks and no exact extraction."""
+    psi = np.arange(n) * (math.pi / n)
+    d, dp, ddp = profile.jet(psi)
+    t = wirtinger._trig(d)
+    u = integrand_U(ProfileTable(profile, R), profile, psi)
+    p = integrand_P(profile, R, psi)
+    I_U, I_V, I_W = (tuple(fsum_quadrature(v) for v in stage(d, dp, ddp, R, t))
+                     for stage in (wirtinger._u_parts_d, wirtinger._v_parts_d,
+                                   wirtinger._w_parts_d))
+    I_U_direct, I_P = fsum_quadrature(u), fsum_quadrature(p)
+    I_W_combined = fsum_quadrature(wirtinger._w_combined_d(d, dp, ddp, R, t))
+    stepwise_UV = tuple(abs(a - b) for a, b in zip(I_U, I_V))
+    stepwise_VW = tuple(abs(a - b) for a, b in zip(I_V, I_W))
+    return IntegralReport(
+        n=n, R=R, I_U_direct=I_U_direct,
+        I_U1=I_U[0], I_U2=I_U[1], I_U3=I_U[2], I_U_parts=math.fsum(I_U),
+        I_V1=I_V[0], I_V2=I_V[1], I_V3=I_V[2],
+        I_W1=I_W[0], I_W2=I_W[1], I_W3=I_W[2],
+        I_W=I_W_combined, I_P=I_P, wirtinger_gap=I_P,
+        gap_spectral=spectral_gap(profile, R, n),
+        residual_UP=abs(I_U_direct - I_P),
+        residual_UW=abs(I_U_direct - I_W_combined),
+        stepwise_UV=stepwise_UV, stepwise_VW=stepwise_VW,
+        conv_delta_U=abs(I_U_direct - fsum_quadrature(u[::2])),
+        conv_delta_P=abs(I_P - fsum_quadrature(p[::2])),
+        mu_max=float(np.max(np.abs(np.cos(2.0 * d)))),
+        identity_ok=abs(I_U_direct - I_P) <= 1e-6 * (1.0 + abs(I_U_direct)),
+        stepwise_ok=all(r <= 1e-8 * max(1.0, R**4)
+                        for r in stepwise_UV + stepwise_VW))
+
+
+@pytest.mark.parametrize("n", [64, 4096, 65536, 2**18])
+def test_reduction_chain_equals_fsum_quadrature(profile_zoo, n):
+    # at n = 64 the half-grid checks conv_delta_U/P sum 32 samples; from
+    # n = 65536 on the chain runs in blocks
     for profile, radius in profile_zoo:
         report = reduction_chain(profile, radius, n)
-        with monkeypatch.context() as patch:
-            patch.setattr(wirtinger, "_quad_pi", fsum_quadrature)
-            reference = reduction_chain(profile, radius, n)
-        assert report.to_dict() == reference.to_dict()
+        # repr tells -0.0 from 0.0
+        assert repr(report.to_dict()) \
+            == repr(fsum_chain_report(profile, radius, n).to_dict())
 
 
 def test_reduction_chain_evaluates_profile_once(profile_zoo, monkeypatch):
-    # every stage reads one set of samples; the validation grids (512 and
-    # 1024 points) are not counted
-    n = 4096
-    for profile, radius in profile_zoo:
+    # every stage reads one set of samples, taken block by block; the
+    # validation grids (512 and 1024 points over [0, 2 pi)) reach past pi
+    # and are not counted
+    for (profile, radius), n in itertools.product(profile_zoo, (4096, 65536)):
         calls = []
         jet = type(profile).jet
 
         def counting_jet(self, psi, jet=jet):
-            if np.shape(psi) == (n,):
+            if np.ndim(psi) == 1 and psi[-1] < math.pi:
                 calls.append(psi)
             return jet(self, psi)
 
         with monkeypatch.context() as patch:
             patch.setattr(type(profile), "jet", counting_jet)
             reduction_chain(profile, radius, n)
-        assert len(calls) == 1
-        assert np.array_equal(calls[0], np.arange(n) * (math.pi / n))
+        assert all(len(psi) <= BLOCK for psi in calls)
+        assert np.array_equal(np.concatenate(calls),
+                              np.arange(n) * (math.pi / n))
+
+
+def test_reduction_chain_memory_stays_blocked(mode6_profile):
+    # 11.0 MB traced when every stage ran on the whole 65536-point grid
+    reduction_chain(mode6_profile, 1.0, 65536)
+    tracemalloc.start()
+    try:
+        reduction_chain(mode6_profile, 1.0, 65536)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2**20
 
 
 def test_derivative_oracle_on_chain_inputs(mode6_profile):
