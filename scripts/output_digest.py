@@ -5,7 +5,7 @@
 The package is imported from `DIR`, by default the `src/` of the checkout
 that holds this script, so one version of the script can digest two trees
 (say, `git archive` exports of a parent commit and of a change).
-For each table of the benchmark (`perfbench/workloads.py`) it prints six
+For each table of the benchmark (`perfbench/workloads.py`) it prints seven
 digests:
 
 - `maps`: the `p`/`phi` bytes of 200 cold `forward_map_batch` steps from
@@ -17,6 +17,9 @@ digests:
   4096 and 65536; at 64 the half-grid checks sum 32 samples.
 - `orbit`: the stdout bytes of `billiard orbit` from `--psi0 0.3
   --delta0 0.7`, 500 steps.
+- `orbit2000`: the same from `--psi0 2.5 --delta0 0.5`, 2000 steps, the
+  orbit length of the benchmark's `certify` workload; its lifts reach
+  about 2000.
 - `verify`: the stdout bytes of `billiard verify --suite all` at
   `--seed` 42 and 7, two draws of the symplectic check's interior lines.
 - `validate`: the stdout bytes of `billiard table validate`.
@@ -51,6 +54,7 @@ STARTS, STEPS, SCAN_SEED = 256, 200, 42
 LINES, LINE_SEED = 1000, 100
 INTEGRAL_N = (64, 1024, 4096, 65536)
 ORBIT_ARGS = ("--psi0", "0.3", "--delta0", "0.7", "--steps", "500")
+LONG_ORBIT_ARGS = ("--psi0", "2.5", "--delta0", "0.5", "--steps", "2000")
 SCAN_ARGS = ("--max-steps", "500")
 VERIFY_SEEDS = (42, 7)
 
@@ -110,6 +114,8 @@ def main(argv=None) -> int:
             print(f"{name:10s} integral  {integral}")
             print(f"{name:10s} orbit     "
                   f"{cli_digest(['orbit', str(path), *ORBIT_ARGS])}")
+            print(f"{name:10s} orbit2000 "
+                  f"{cli_digest(['orbit', str(path), *LONG_ORBIT_ARGS])}")
             verify = cli_digest(*(["verify", str(path), "--suite", "all",
                                    "--seed", str(seed)]
                                   for seed in VERIFY_SEEDS))

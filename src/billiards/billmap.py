@@ -15,7 +15,7 @@ partials of S once, from a jet of h; every map, chart and derivative
 below is a layer over it.  Its first part, _incoming (p and the twist
 S12), is all the forward map's solver needs, and forward_map_batch hands
 back the whole record of the bounce it solved, so a step costs no jet
-beyond its solve.  The
+beyond its solve; the chart map reads p1 from _incoming's parts.  The
 inverse map is the forward map of the reversed line: reversing
 orientation, (p, phi) -> (-p, phi + pi), turns the bounce (L0 -> L1) into
 (reversed L1 -> reversed L0).
@@ -267,8 +267,10 @@ def chart_to_line(spec: SupportSpec, bc: BoundaryCoord) -> LineCoord:
 
 
 def _chart_line(jet, psi, delta) -> LineCoord:
-    """chart_to_line from the jet of h at psi (floats)."""
-    return LineCoord(_bounce(jet, delta, math)[1], psi + delta)
+    """chart_to_line from the jet of h at psi (floats); p1 = base + swing
+    from _incoming's parts, as in _bounce, without the S-derivatives."""
+    _, _, (_, _, base, swing) = _incoming(jet, delta, math)
+    return LineCoord(base + swing, psi + delta)
 
 
 def line_to_chart(spec: SupportSpec, line: LineCoord) -> BoundaryCoord:
@@ -287,17 +289,23 @@ def geometric_reflect(spec: SupportSpec, start_psi, delta) -> BoundaryCoord:
     the chord from gamma(psi) at angle delta to the tangent, intersect it
     with the curve, reflect with equal angles.  Independent of the
     momentum relations.  Raises GrazingRay when an incidence angle, given
-    or computed, leaves the floor (NaN included)."""
-    return _reflect(spec, spec.jet(start_psi), start_psi, delta)
+    or computed, leaves the floor (NaN included).  The start point comes
+    from its own jet of h, in the backend _reflect would use for it."""
+    start = _gamma(spec.jet(start_psi), start_psi, _xp(start_psi + delta))
+    return _reflect(spec, start, start_psi, delta)
 
 
-def _reflect(spec: SupportSpec, start_jet, start_psi, delta) -> BoundaryCoord:
-    """geometric_reflect from the jet of h at start_psi."""
+def _reflect(spec: SupportSpec, start_point, start_psi,
+             delta) -> BoundaryCoord:
+    """geometric_reflect from the start point (x0, y0) = gamma(start_psi),
+    which a caller tracing an orbit has already computed for its output;
+    it must come from _gamma in the backend of start_psi + delta for the
+    bits of geometric_reflect.  Only the chord's far end takes jets."""
     angle = start_psi + delta
     xp = _xp(angle)
     if not xp.all((delta >= DELTA_MIN) & (delta <= math.pi - DELTA_MIN)):
         raise GrazingRay(f"delta = {delta} outside [{DELTA_MIN}, pi - {DELTA_MIN}]")
-    x0, y0 = _gamma(start_jet, start_psi, xp)
+    x0, y0 = start_point
     ex = -xp.sin(_reduce(angle))
     ey = xp.cos(_reduce(angle))
 

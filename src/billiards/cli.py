@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .beam import conjugate_scan
-from .billmap import DELTA_MIN, BoundaryCoord, _chart_line, _gamma, _reflect, \
+from .billmap import DELTA_MIN, _chart_line, _gamma, _reflect, \
     jacobian_check_batch, s_derivatives
 from .errors import BilliardError, CurvatureViolation, GrazingRay, SpecError
 from .fourperiodic import table_profile, verify_d_h_relations, verify_orthoptic, \
@@ -38,6 +38,11 @@ MAX_POINTS = 2**20
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+# one orbit row, step,psi,delta,p,phi,x,y: the bytes of _fmt per field
+# joined by commas, from one format call
+_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g"
 
 
 def _is_pow2(n: int) -> bool:
@@ -162,34 +167,35 @@ def cmd_orbit(args) -> int:
     validate_table(spec)
     rows = ["step,psi,delta,p,phi,x,y"]
     grazed = False
-    state = BoundaryCoord(args.psi0, args.delta0)
+    psi, delta = args.psi0, args.delta0
+    ellipse = isinstance(spec, EllipseTable)
+    if ellipse:
+        a2, b2 = spec.a**2, spec.b**2
     lams = []
     for step in range(cfg.steps + 1):
         try:
-            jet = spec.jet(state.psi)     # one jet of h per bounce
-            line = _chart_line(jet, state.psi, state.delta)
+            jet = spec.jet(psi)     # one jet of h per bounce
+            p, phi = _chart_line(jet, psi, delta)
         except BilliardError:
             grazed = True
             break
-        if not (DELTA_MIN <= state.delta <= math.pi - DELTA_MIN):
+        if not (DELTA_MIN <= delta <= math.pi - DELTA_MIN):
             grazed = True
             break
-        x, y = _gamma(jet, state.psi, math)
-        rows.append(",".join(_fmt(v) for v in
-                             (float(step), state.psi, state.delta,
-                              line.p, line.phi, x, y)))
-        if isinstance(spec, EllipseTable):
-            lams.append(spec.a**2 * math.cos(line.phi)**2
-                        + spec.b**2 * math.sin(line.phi)**2 - line.p**2)
+        point = _gamma(jet, psi, math)   # the row's point, the chord's start
+        rows.append(_ROW % (step, psi, delta, p, phi, *point))
+        if ellipse:
+            lams.append(a2 * math.cos(phi)**2 + b2 * math.sin(phi)**2
+                        - p**2)
         if step == cfg.steps:
             break
         try:
-            state = _reflect(spec, jet, state.psi, state.delta)
+            psi, delta = _reflect(spec, point, psi, delta)
         except GrazingRay:
             grazed = True
             break
     text = "\n".join(rows) + "\n"
-    if isinstance(spec, EllipseTable) and lams and not grazed:
+    if ellipse and lams and not grazed:
         drift = max(abs(l - lams[0]) for l in lams)
         text += f"# caustic lambda0={_fmt(lams[0])} drift={_fmt(drift)}\n"
     _emit(text, cfg.out)

@@ -84,7 +84,8 @@ def verify_parallelogram(spec: SupportSpec, profile, psi,
     |P3 + P1|, and the half-turn residuals |psi_{i+2} - psi_i - pi| are
     all ~0 when {delta = d(psi)} really consists of 4-periodic orbits;
     `passed` compares the worst of them against tol.  One jet of h per
-    vertex gives its point, its outgoing momentum and the oracle's start.
+    vertex gives its point, which is also the oracle's chord start, and
+    its outgoing momentum.
     """
     xp = _xp(psi)
     if xp is np:
@@ -98,7 +99,7 @@ def verify_parallelogram(spec: SupportSpec, profile, psi,
         jet = spec.jet(psi)
         points.append(_gamma(jet, psi, xp))
         momenta.append(_bounce(jet, delta, xp)[1])
-        psi, delta = _reflect(spec, jet, psi, delta)
+        psi, delta = _reflect(spec, points[-1], psi, delta)
         psis.append(psi)
         deltas.append(delta)
     points.append(_gamma(spec.jet(psi), psi, xp))

@@ -9,6 +9,11 @@ reproduce a scan from its recorded seed.  The update rule, written out:
     z = ((z XOR (z >> 27)) * 0x94D049BB133111EB) mod 2^64
     z = z XOR (z >> 31)
     uniform = (z >> 11) * 2^-53          # in [0, 1)
+
+The state only ever adds the constant, so draw k after state s mixes
+s + k * 0x9E3779B97F4A7C15 mod 2^64: SplitMix64.floats jumps ahead to
+all n states at once as uint64 arrays, whose arithmetic wraps mod 2^64,
+and passes them through the same mixing body as the scalar draw.
 """
 
 from __future__ import annotations
@@ -21,6 +26,16 @@ from .billmap import BoundaryCoord, chart_to_line
 from .supportfn import SupportSpec
 
 _MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _mix(z):
+    """The splitmix64 output of state z: a Python int below 2^64, or a
+    uint64 array entrywise (whose products wrap mod 2^64 without a
+    warning; a numpy uint64 scalar would warn on overflow)."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
 
 
 class SplitMix64:
@@ -28,15 +43,20 @@ class SplitMix64:
         self.state = int(seed) & _MASK
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        z = z ^ (z >> 31)
-        return z
+        self.state = (self.state + _GAMMA) & _MASK
+        return _mix(self.state)
 
     def next_float(self) -> float:
         return (self.next_u64() >> 11) * 2.0**-53
+
+    def floats(self, n: int) -> np.ndarray:
+        """The next n next_float draws as one array, bit for bit, leaving
+        the state where those n calls would."""
+        states = np.arange(1, n + 1, dtype=np.uint64)
+        states *= np.uint64(_GAMMA)
+        states += np.uint64(self.state)
+        self.state = (self.state + n * _GAMMA) & _MASK
+        return (_mix(states) >> 11) * 2.0**-53
 
 
 def scan_starts(spec: SupportSpec, profile, n: int, seed: int):
@@ -47,14 +67,14 @@ def scan_starts(spec: SupportSpec, profile, n: int, seed: int):
     as cap * (1e-6 + (1 - 2e-6) u2), keeping clear of the grazing floor.
     Returns (psi, delta, p, phi) arrays.
     """
-    rng = SplitMix64(seed)
+    draws = SplitMix64(seed).floats(2 * n).tolist()
     psis = np.empty(n)
     deltas = np.empty(n)
     ps = np.empty(n)
     phis = np.empty(n)
     for i in range(n):
-        u1 = rng.next_float()
-        u2 = rng.next_float()
+        u1 = draws[2 * i]
+        u2 = draws[2 * i + 1]
         psi = 2.0 * math.pi * u1
         cap = profile.jet(psi)[0] if profile is not None else math.pi / 4
         delta = cap * (1e-6 + (1.0 - 2e-6) * u2)
@@ -75,8 +95,7 @@ def random_interior_lines(spec: SupportSpec, n: int, seed: int,
     (-h(phi + pi), h(phi)) with `margin` kept off both ends so finite
     difference stencils stay interior.  Returns (p, phi) arrays.
     """
-    rng = SplitMix64(seed)
-    u1, u2 = np.array([rng.next_float() for _ in range(2 * n)]).reshape(n, 2).T
+    u1, u2 = SplitMix64(seed).floats(2 * n).reshape(n, 2).T
     phi = 2.0 * math.pi * u1
     hi = spec.jet(phi).h
     lo = -spec.jet(phi + math.pi).h

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import warnings
@@ -8,11 +9,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import billiards
+from billiards import cli
+from billiards.billmap import BoundaryCoord, boundary_point, chart_to_line, \
+    geometric_reflect
 from billiards.cli import main
 from billiards.fourperiodic import table_profile, verify_parallelogram
-from billiards.supportfn import load_table
+from billiards.supportfn import EllipseTable, load_table
 
 
 @pytest.fixture()
@@ -230,6 +236,69 @@ def test_orbit_resolvable_lift_runs(ellipse_spec, tmp_path, psi0):
                  "--steps", "3", "--out", str(out)]) == 0
     rows = out.read_text().splitlines()
     assert [row.split(",")[0] for row in rows[1:5]] == ["0", "1", "2", "3"]
+
+
+def _fields(values):
+    # one row as formatted field by field
+    return ",".join(f"{v:.17g}" for v in values)
+
+
+def _orbit_reference(spec, psi, delta, steps):
+    """The bytes of `billiard orbit` from the public map functions: each
+    row's line, point and next bounce from their own jets, every field
+    formatted on its own."""
+    rows = ["step,psi,delta,p,phi,x,y"]
+    lams = []
+    for step in range(steps + 1):
+        p, phi = chart_to_line(spec, BoundaryCoord(psi, delta))
+        x, y = boundary_point(spec, psi)
+        rows.append(_fields((float(step), psi, delta, p, phi, x, y)))
+        if isinstance(spec, EllipseTable):
+            lams.append(spec.a**2 * math.cos(phi)**2
+                        + spec.b**2 * math.sin(phi)**2 - p**2)
+        if step < steps:
+            psi, delta = geometric_reflect(spec, psi, delta)
+    text = "\n".join(rows) + "\n"
+    if lams:
+        drift = max(abs(l - lams[0]) for l in lams)
+        text += f"# caustic lambda0={lams[0]:.17g} drift={drift:.17g}\n"
+    return text.encode()
+
+
+@pytest.mark.parametrize("data", [
+    {"type": "ellipse", "a": 1, "b": 1},
+    {"type": "ellipse", "a": 2, "b": 1},
+    {"type": "profile", "R": 1.0, "d_modes": [[2, 0.1, 0]]},
+    {"type": "profile", "R": 1.0, "d_modes": [[2, 0.1, 0], [6, 0.02, 0]]},
+], ids=["circle", "ellipse21", "profile_a", "mode6"])
+def test_orbit_bytes_equal_public_map_reference(write_spec, tmp_path, data):
+    path = write_spec("table.json", data)
+    out = tmp_path / "trace.csv"
+    assert main(["orbit", path, "--psi0", "0.3", "--delta0", "0.7",
+                 "--steps", "300", "--out", str(out)]) == 0
+    assert out.read_bytes() == _orbit_reference(load_table(path), 0.3, 0.7,
+                                                300)
+
+
+_FORMAT_EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+                 5e-324, -5e-324, sys.float_info.max, -sys.float_info.max,
+                 1.0, -3.0, 2000.0, 2.0**53, 1e16, 1e17, 0.1, 1 / 3]
+
+
+@pytest.mark.parametrize("value", _FORMAT_EDGES)
+def test_orbit_row_format_equals_field_join(value):
+    row = (value,) * 7
+    assert cli._ROW % row == _fields(row)
+    # the step column is passed as an int
+    for step in (0, 1, 2000, 2**53):
+        assert cli._ROW % (step, *row[1:]) == _fields((float(step), *row[1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=7, max_size=7))
+def test_orbit_row_format_equals_field_join_on_bit_patterns(bits):
+    row = struct.unpack("<7d", struct.pack("<7Q", *bits))
+    assert cli._ROW % row == _fields(row)
 
 
 def test_verify_all_ellipse(ellipse_spec, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -32,3 +33,17 @@ def test_random_interior_lines_equal_draw_by_draw(spec_name, n, request):
     assert p.shape == phi.shape == (n,)
     assert p.tobytes() == ref_p.tobytes()
     assert phi.tobytes() == ref_phi.tobytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2000])
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**63, 2**64 - 6, 2**64 - 1])
+def test_floats_equal_next_float_draws(seed, n):
+    rng, ref = SplitMix64(seed), SplitMix64(seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")    # uint64 overflow must not warn
+        draws = rng.floats(n)
+    want = np.array([ref.next_float() for _ in range(n)], dtype=float)
+    assert draws.shape == (n,)
+    assert draws.tobytes() == want.tobytes()
+    assert rng.state == ref.state
+    assert rng.next_u64() == ref.next_u64()
