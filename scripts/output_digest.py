@@ -5,8 +5,8 @@
 The package is imported from `DIR`, by default the `src/` of the checkout
 that holds this script, so one version of the script can digest two trees
 (say, `git archive` exports of a parent commit and of a change).
-For each table of the benchmark (`perfbench/workloads.py`) it prints seven
-digests:
+For each table of the benchmark (`perfbench/workloads.py`), and for one
+Fourier table after them, it prints seven digests:
 
 - `maps`: the `p`/`phi` bytes of 200 cold `forward_map_batch` steps from
   the 256 seed-42 `scan_starts`, then `jacobian_check_batch` on 1000
@@ -26,6 +26,9 @@ digests:
 - `scan`: the stdout bytes of `billiard beam-scan --max-steps 500` (256
   seed-42 starts).
 
+The Fourier table has no angle profile: its `verify` exits 1 with the
+no-profile entries of `poncelet` and `relations`, its `integral` exits 4,
+and its `jet` is the Fourier series, which no benchmark table uses.
 Every command is covered; the archived scan
 `reports/conjugate_scan_mode6.json` covers `beam-scan` at full length
 (`cmp` its output). A change that leaves the numerics alone prints the
@@ -57,6 +60,9 @@ ORBIT_ARGS = ("--psi0", "0.3", "--delta0", "0.7", "--steps", "500")
 LONG_ORBIT_ARGS = ("--psi0", "2.5", "--delta0", "0.5", "--steps", "2000")
 SCAN_ARGS = ("--max-steps", "500")
 VERIFY_SEEDS = (42, 7)
+TABLES = {**TABLE_SPECS,
+          "fourier": {"type": "fourier", "c0": 1.0,
+                      "cos": [0.0, 0.1, 0.0, 0.02], "sin": [0.0, 0.03]}}
 
 
 def maps_digest(spec, line_seed: int) -> str:
@@ -104,7 +110,7 @@ def main(argv=None) -> int:
     from billiards.supportfn import table_from_dict
 
     with tempfile.TemporaryDirectory() as tmp:
-        for i, (name, data) in enumerate(TABLE_SPECS.items()):
+        for i, (name, data) in enumerate(TABLES.items()):
             path = Path(tmp) / f"{name}.json"
             path.write_text(json.dumps(data), encoding="utf-8")
             spec = table_from_dict(data)

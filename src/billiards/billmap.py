@@ -327,11 +327,12 @@ def _reflect(spec: SupportSpec, start_point, start_psi,
 # --- symplecticity checks ----------------------------------------------------
 
 
-def jacobian_check_batch(spec: SupportSpec, p, phi, eps: float = 1e-6):
-    """Central finite-difference Jacobian determinant of forward_map_batch,
-    on floats or entrywise on arrays.  The four stencils are one solve,
-    stacked along a new first axis; the solve is entrywise, so each keeps
-    the bits of its own solve."""
+def jacobian_check_batch(spec: SupportSpec, p, phi):
+    """Central finite-difference Jacobian determinant of forward_map_batch
+    (step 1e-6), on floats or entrywise on arrays.  The four stencils are
+    one solve, stacked along a new first axis; the solve is entrywise, so
+    each keeps the bits of its own solve."""
+    eps = 1e-6
     (pp_p, pp_m, fp_p, fp_m), (pf_p, pf_m, ff_p, ff_m), _ = forward_map_batch(
         spec, np.stack([p + eps, p - eps, p, p]),
         np.stack([phi, phi, phi + eps, phi - eps]))
@@ -339,9 +340,8 @@ def jacobian_check_batch(spec: SupportSpec, p, phi, eps: float = 1e-6):
         / (4 * eps * eps)
 
 
-def chart_change_determinant(spec: SupportSpec, bc: BoundaryCoord,
-                             eps: float = 1e-5) -> float:
-    """Finite-difference determinant of (cos delta, s) -> (p, phi).
+def chart_change_determinant(spec: SupportSpec, bc: BoundaryCoord) -> float:
+    """Finite-difference determinant of (cos delta, s) -> (p, phi), step 1e-5.
 
     Both Jacobians are taken against the common parameters (psi, delta) and
     divided out, so the result is the determinant of the symplectic chart
@@ -350,6 +350,7 @@ def chart_change_determinant(spec: SupportSpec, bc: BoundaryCoord,
     from .supportfn import arclength_of_psi
 
     psi, delta = float(bc.psi), float(bc.delta)
+    eps = 1e-5
 
     def pf(ps, de):
         lc = chart_to_line(spec, BoundaryCoord(ps, de))

@@ -20,10 +20,9 @@ from .errors import SpecError
 
 
 TAU = 2.0 * math.pi
-
-
-def _sign(x):
-    return 1.0 if x > 0.0 else -1.0 if x < 0.0 else 0.0 * x
+# largest harmonic index: no grid of at most 2^20 points resolves a mode
+# above it, and far above it n^2 leaves double range
+MAX_HARMONIC = 2**20
 
 
 # numpy's names over math and builtins, so one body of numerics serves
@@ -32,9 +31,9 @@ def _sign(x):
 _FLOATS = types.ModuleType("floats", "numpy's names over math, for floats")
 vars(_FLOATS).update(
     sin=math.sin, cos=math.cos, sqrt=math.sqrt, arccos=math.acos,
-    hypot=math.hypot, abs=abs, sign=_sign, maximum=max,
+    hypot=math.hypot, abs=abs, maximum=max,
     where=lambda cond, a, b: a if cond else b,
-    all=bool, any=bool, min=lambda x: x, max=lambda x: x)
+    all=bool, min=lambda x: x, max=lambda x: x)
 
 
 def _xp(x):
@@ -48,12 +47,33 @@ def _reduce(psi):
     return psi % TAU
 
 
+def _series_jet(const, modes, psi):
+    """(f, f', f'') of f = const + sum of a cos n psi + b sin n psi over
+    the (n, a, b) in modes, term by term: the one body behind a profile's
+    d and a Fourier table's h."""
+    xp = _xp(psi)
+    psi = _reduce(psi)
+    zero = 0.0 * psi
+    f = const + zero
+    df = zero
+    ddf = zero
+    for n, a, b in modes:
+        c = xp.cos(n * psi)
+        s = xp.sin(n * psi)
+        f = f + a * c + b * s
+        df = df + n * (b * c - a * s)
+        ddf = ddf - n * n * (a * c + b * s)
+    return f, df, ddf
+
+
 @dataclass(frozen=True)
 class AngleProfile:
     """Trigonometric profile d(psi) = pi/4 + sum of (n, cos, sin) modes.
 
     Every harmonic index must satisfy n = 2 (mod 4); anything else breaks
-    the quarter-turn symmetry and is rejected outright.
+    the quarter-turn symmetry and is rejected outright.  So are n above
+    MAX_HARMONIC and amplitudes above pi/2, which no d within (0, pi/2)
+    has: each is at most twice max |d - pi/4|.
     """
 
     modes: tuple[tuple[int, float, float], ...] = field(default=())
@@ -62,29 +82,22 @@ class AngleProfile:
         clean = []
         for mode in self.modes:
             n, ca, sa = mode
-            n = int(n)
+            n, ca, sa = int(n), float(ca), float(sa)
             if n <= 0 or n % 4 != 2:
                 raise ValueError(
                     f"harmonic n={n} is not admissible: need n = 2 (mod 4)"
                 )
-            clean.append((n, float(ca), float(sa)))
+            if not (n <= MAX_HARMONIC and abs(ca) <= math.pi / 2
+                    and abs(sa) <= math.pi / 2):
+                raise ValueError(f"harmonic n={n} with amplitudes {ca:g}, "
+                                 f"{sa:g} is not admissible: need n <= "
+                                 f"{MAX_HARMONIC} and amplitudes within pi/2")
+            clean.append((n, ca, sa))
         object.__setattr__(self, "modes", tuple(clean))
 
     def jet(self, psi):
         """Return (d, d', d'') at psi, term-wise exact."""
-        xp = _xp(psi)
-        psi = _reduce(psi)
-        zero = 0.0 * psi
-        d = math.pi / 4 + zero
-        dp = zero
-        ddp = zero
-        for n, ca, sa in self.modes:
-            c = xp.cos(n * psi)
-            s = xp.sin(n * psi)
-            d = d + ca * c + sa * s
-            dp = dp + n * (sa * c - ca * s)
-            ddp = ddp - n * n * (ca * c + sa * s)
-        return d, dp, ddp
+        return _series_jet(math.pi / 4, self.modes, psi)
 
 
 @dataclass(frozen=True)
@@ -129,12 +142,12 @@ def ellipse_profile(a: float, b: float) -> EllipseProfile:
     return EllipseProfile(float(a), float(b))
 
 
-def validate_profile(profile, grid_n: int = 1024) -> float:
-    """Check 0 < d(psi) < pi/2 on a grid; return the margin min(d, pi/2 - d).
+def validate_profile(profile) -> float:
+    """Check 0 < d(psi) < pi/2 on 1024 points; return min(d, pi/2 - d).
 
     Raises ValueError when the range constraint fails anywhere.
     """
-    psi = np.linspace(0.0, 2.0 * math.pi, grid_n, endpoint=False)
+    psi = np.linspace(0.0, 2.0 * math.pi, 1024, endpoint=False)
     d, _, _ = profile.jet(psi)
     margin = float(min(np.min(d), np.min(math.pi / 2 - d)))
     if margin <= 0.0:

@@ -86,15 +86,15 @@ def scan_starts(spec: SupportSpec, profile, n: int, seed: int):
     return psis, deltas, ps, phis
 
 
-def random_interior_lines(spec: SupportSpec, n: int, seed: int,
-                          margin: float = 0.05):
+def random_interior_lines(spec: SupportSpec, n: int, seed: int):
     """n seeded lines strictly inside the phase cylinder.
 
     Per line, in stream order: u1 then u2, all drawn first; then as arrays,
     phi = 2 pi u1; p interpolates the cylinder section
-    (-h(phi + pi), h(phi)) with `margin` kept off both ends so finite
-    difference stencils stay interior.  Returns (p, phi) arrays.
+    (-h(phi + pi), h(phi)) with a margin of 5% of it kept off both ends so
+    finite difference stencils stay interior.  Returns (p, phi) arrays.
     """
+    margin = 0.05
     u1, u2 = SplitMix64(seed).floats(2 * n).reshape(n, 2).T
     phi = 2.0 * math.pi * u1
     hi = spec.jet(phi).h

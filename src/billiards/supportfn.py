@@ -14,13 +14,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CurvatureViolation, SpecError
-from .profiles import (AngleProfile, EllipseProfile, Profile, _reduce, _xp,
-                       profile_from_modes)
+from .profiles import (AngleProfile, EllipseProfile, Profile, _reduce,
+                       _series_jet, _xp, profile_from_modes)
 
 VALIDATION_GRID = 512
 # largest |c0|, Fourier coefficient or profile radius: the reduction chain
@@ -29,10 +30,15 @@ VALIDATION_GRID = 512
 MAX_SIZE = 1e64
 
 
-def _check_size(value: float, name: str) -> None:
+def _check_size(value: float, name: str, scale: bool = False) -> None:
+    # a nonzero scale (c0, R) below 1 / MAX_SIZE underflows R^4; at 5e-324
+    # the solver's slope is 0 and its Newton step divides by it
     if not abs(value) <= MAX_SIZE:
         raise ValueError(f"{name} = {value} exceeds {MAX_SIZE:g}: the table "
                          "would leave double precision")
+    if scale and 0.0 < abs(value) < 1.0 / MAX_SIZE:
+        raise ValueError(f"{name} = {value} is below {1.0 / MAX_SIZE:g}: the "
+                         "table would leave double precision")
 
 
 class Jet2(NamedTuple):
@@ -106,28 +112,15 @@ class FourierTable:
     def __post_init__(self):
         object.__setattr__(self, "cos_coeffs", tuple(float(c) for c in self.cos_coeffs))
         object.__setattr__(self, "sin_coeffs", tuple(float(s) for s in self.sin_coeffs))
-        _check_size(self.c0, "c0")
+        _check_size(self.c0, "c0", scale=True)
         for c in self.cos_coeffs + self.sin_coeffs:
             _check_size(c, "coefficient")
 
     def jet(self, psi) -> Jet2:
-        xp = _xp(psi)
-        psi = _reduce(psi)
-        zero = 0.0 * psi
-        h = self.c0 + zero
-        dh = zero
-        ddh = zero
-        n_modes = max(len(self.cos_coeffs), len(self.sin_coeffs))
-        for i in range(n_modes):
-            k = i + 1
-            ck = self.cos_coeffs[i] if i < len(self.cos_coeffs) else 0.0
-            sk = self.sin_coeffs[i] if i < len(self.sin_coeffs) else 0.0
-            c = xp.cos(k * psi)
-            s = xp.sin(k * psi)
-            h = h + ck * c + sk * s
-            dh = dh + k * (sk * c - ck * s)
-            ddh = ddh - k * k * (ck * c + sk * s)
-        return Jet2(h, dh, ddh)
+        # harmonic k = 1, 2, ...; the shorter coefficient list pads with 0
+        pairs = zip_longest(self.cos_coeffs, self.sin_coeffs, fillvalue=0.0)
+        return Jet2(*_series_jet(self.c0, ((k, c, s) for k, (c, s)
+                                           in enumerate(pairs, 1)), psi))
 
 
 @dataclass(frozen=True)
@@ -140,7 +133,7 @@ class ProfileTable:
     def __post_init__(self):
         if not self.radius > 0.0:
             raise ValueError(f"radius must be positive, got {self.radius}")
-        _check_size(self.radius, "radius")
+        _check_size(self.radius, "radius", scale=True)
 
     def jet(self, psi) -> Jet2:
         return _profile_support_jet(self.radius, *self.profile.jet(psi))
@@ -165,14 +158,14 @@ def ellipse_support(a: float, b: float) -> EllipseTable:
     return EllipseTable(float(a), float(b))
 
 
-def table_from_profile(profile, R: float, grid_n: int = VALIDATION_GRID) -> ProfileTable:
-    """Build h = R sin d and validate rho > 0 on a grid of >= 512 points.
+def table_from_profile(profile, R: float) -> ProfileTable:
+    """Build h = R sin d and validate rho > 0 on the VALIDATION_GRID.
 
     Raises CurvatureViolation when the profile is too wild for a convex
     table.
     """
     table = ProfileTable(profile, float(R))
-    validate_table(table, grid_n=max(grid_n, VALIDATION_GRID))
+    validate_table(table)
     return table
 
 
@@ -198,21 +191,20 @@ def validate_table(spec: SupportSpec, grid_n: int = VALIDATION_GRID) -> dict:
     return {"grid": grid_n, "min_rho": min_rho, "min_h": min_h}
 
 
-def symmetry_defect(spec: SupportSpec, grid_n: int = VALIDATION_GRID) -> float:
-    """max |h(psi + pi) - h(psi)| over the grid."""
-    psi = np.linspace(0.0, 2.0 * math.pi, grid_n, endpoint=False)
+def symmetry_defect(spec: SupportSpec) -> float:
+    """max |h(psi + pi) - h(psi)| over the VALIDATION_GRID."""
+    psi = np.linspace(0.0, 2.0 * math.pi, VALIDATION_GRID, endpoint=False)
     h = spec.jet(psi).h
     h_shift = spec.jet(psi + math.pi).h
     return float(np.max(np.abs(h_shift - h)))
 
 
-def is_centrally_symmetric(spec: SupportSpec, grid_n: int = VALIDATION_GRID,
-                           tol: float = 1e-9) -> bool:
-    """symmetry_defect within tol * max(1, max h) over the grid: on a
-    symmetric table the defect is rounding, which grows with h."""
-    psi = np.linspace(0.0, 2.0 * math.pi, grid_n, endpoint=False)
+def is_centrally_symmetric(spec: SupportSpec) -> bool:
+    """symmetry_defect within 1e-9 max(1, max h) over the VALIDATION_GRID:
+    on a symmetric table the defect is rounding, which grows with h."""
+    psi = np.linspace(0.0, 2.0 * math.pi, VALIDATION_GRID, endpoint=False)
     size = max(1.0, float(np.max(spec.jet(psi).h)))
-    return symmetry_defect(spec, grid_n) <= tol * size
+    return symmetry_defect(spec) <= 1e-9 * size
 
 
 def arclength_of_psi(spec: SupportSpec, psi: float) -> float:
@@ -242,6 +234,8 @@ def _number(value, name: str) -> float:
         number = float(value)
     except ValueError as exc:
         raise SpecError(f"{name} is not a number: {value!r}") from exc
+    except OverflowError:
+        number = math.inf       # an integer beyond double range
     if not math.isfinite(number):
         raise SpecError(f"{name} is not finite: {value!r}")
     return number
@@ -291,5 +285,8 @@ def table_to_dict(spec: SupportSpec) -> dict:
 def load_table(path) -> SupportSpec:
     """Read a table spec from a JSON file (no validation beyond parsing)."""
     with open(path, "r", encoding="utf-8") as f:
-        data = json.load(f)
+        try:
+            data = json.load(f)
+        except ValueError as exc:   # not UTF-8 JSON, or an overlong int
+            raise SpecError(str(exc)) from exc
     return table_from_dict(data)

@@ -164,16 +164,14 @@ def integrand_U(spec: SupportSpec, profile, psi):
 
     Closed form with weights (d/2 - sin 2d / 4) and (d/8 - sin 4d / 32).
     """
-    return _u_from_jets(spec.jet(psi), profile.jet(psi)[0])
-
-
-def _u_from_jets(jet, d):
+    jet = spec.jet(psi)
+    d = profile.jet(psi)[0]
     xp = _xp(d)
     return _u_from_sin(jet, d, xp.sin(2.0 * d), xp.sin(4.0 * d))
 
 
 def _u_from_sin(jet, d, s2, s4):
-    """_u_from_jets from s2 = sin 2d and s4 = sin 4d."""
+    """U from the table's jet, d, s2 = sin 2d and s4 = sin 4d."""
     h, dh, ddh = jet
     rho = h + ddh
     w_low = 0.5 * d - 0.25 * s2
@@ -267,16 +265,13 @@ def _w_combined_d(d, dp, ddp, R, t: _Trig):
 
 def mu_jet(profile, psi):
     """mu = cos 2d and its chain-rule derivatives at psi."""
-    return _mu_from_jet(*profile.jet(psi))
-
-
-def _mu_from_jet(d, dp, ddp):
+    d, dp, ddp = profile.jet(psi)
     xp = _xp(d)
     return _mu_from_sc(xp.sin(2.0 * d), xp.cos(2.0 * d), dp, ddp)
 
 
 def _mu_from_sc(s2, mu, dp, ddp):
-    """_mu_from_jet from s2 = sin 2d and mu = cos 2d."""
+    """mu_jet from s2 = sin 2d and mu = cos 2d."""
     dmu = -2.0 * s2 * dp
     ddmu = -4.0 * mu * dp * dp - 2.0 * s2 * ddp
     return mu, dmu, ddmu
@@ -292,10 +287,6 @@ def _p_from_mu(dmu, ddmu, R):
     return (math.pi * R**4 / 512.0) * (ddmu * ddmu - 4.0 * dmu * dmu)
 
 
-def _pi_grid(n: int) -> np.ndarray:
-    return np.arange(n) * (math.pi / n)
-
-
 def spectral_gap(profile, R: float, n: int) -> float:
     """The P-integral from the Fourier coefficients of mu.
 
@@ -303,7 +294,7 @@ def spectral_gap(profile, R: float, n: int) -> float:
     (pi R^4/512) * (pi/2) * sum ((2k)^4 - 4 (2k)^2)(a_k^2 + b_k^2).
     """
     validate_profile(profile)  # 0 < d < pi/2 is what keeps |mu| < 1
-    return _gap_from_mu(mu_jet(profile, _pi_grid(n))[0], R)
+    return _gap_from_mu(mu_jet(profile, np.arange(n) * (math.pi / n))[0], R)
 
 
 def _gap_from_mu(mu, R):
@@ -360,16 +351,16 @@ class IntegralReport:
 
 
 def reduction_chain(profile, R: float, n: int = 1024, *,
-                    require_convex: bool = True,
-                    identity_tol: float = 1e-6,
-                    stepwise_tol: float = 1e-8) -> IntegralReport:
+                    require_convex: bool = True) -> IntegralReport:
     """Run the whole chain U -> (U1,U2,U3) -> V -> W -> P by spectral
     quadrature over [0, pi] and report every integral and residual.
 
     The chain is an identity for any smooth admissible profile; the table
     itself must additionally be convex to mean anything dynamically, so
     rho > 0 is enforced unless require_convex is False (diagnostics on
-    non-convex profiles).
+    non-convex profiles).  identity_ok holds when |I_U - I_P| <= 1e-6
+    (1 + |I_U|); stepwise_ok when every stepwise residual is within
+    1e-8 max(1, R^4).
     """
     R = float(R)
     if n < 64 or (n & (n - 1)) != 0:
@@ -419,8 +410,8 @@ def reduction_chain(profile, R: float, n: int = 1024, *,
     stepwise_UV = tuple(abs(a - b) for a, b in zip(I_U, I_V))
     stepwise_VW = tuple(abs(a - b) for a, b in zip(I_V, I_W))
     scale = R**4
-    identity_ok = residual_UP <= identity_tol * (1.0 + abs(I_U_direct))
-    stepwise_ok = all(r <= stepwise_tol * max(1.0, scale)
+    identity_ok = residual_UP <= 1e-6 * (1.0 + abs(I_U_direct))
+    stepwise_ok = all(r <= 1e-8 * max(1.0, scale)
                       for r in stepwise_UV + stepwise_VW)
 
     return IntegralReport(

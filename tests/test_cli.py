@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import math
 import os
 import struct
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -481,3 +484,227 @@ def test_cli_import_does_not_load_scipy():
          "import sys, billiards.cli; print('scipy' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "False\n"
+
+
+# --- the exit-code contract on usage errors and on any input ----------------
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["table", "validate", "{spec}", "--grid", "3"],
+     "grid size 3 must be a power of two"),
+    (["table", "validate", "{spec}", "--grid", "-4"],
+     "grid size -4 must be a power of two"),
+    (["table", "validate", "{spec}", "--grid", "2097152"],
+     "grid size 2097152 exceeds 1048576"),
+    (["verify", "{spec}", "--tol", "0"], "tolerance 0.0 must be positive"),
+    (["verify", "{spec}", "--tol", "-1"], "tolerance -1.0 must be positive"),
+    (["verify", "{spec}", "--tol", "nan"], "tolerance nan must be positive"),
+    (["integral", "{spec}", "--n", "100"],
+     "grid size 100 must be a power of two"),
+    (["orbit", "{spec}", "--psi0", "0.3", "--delta0", "0.7",
+      "--steps", "-1"], "steps must be nonnegative"),
+    (["beam-scan", "{spec}", "--starts", "-1"], "starts must be nonnegative"),
+    (["beam-scan", "{spec}", "--max-steps", "-1"],
+     "max_steps must be nonnegative"),
+    (["beam-scan", "{spec}", "--starts", "-1", "--max-steps", "-1"],
+     "starts must be nonnegative"),
+    (["table", "validate", "{missing}"],
+     "cannot parse table spec: [Errno 2] No such file or directory: "
+     "'{missing}'"),
+    (["verify", "{missing}", "--suite", "twist"],
+     "cannot parse table spec: [Errno 2] No such file or directory: "
+     "'{missing}'"),
+    (["integral", "{missing}"],
+     "cannot parse table spec: [Errno 2] No such file or directory: "
+     "'{missing}'"),
+    (["orbit", "{missing}", "--psi0", "0.3", "--delta0", "0.7",
+      "--steps", "3"],
+     "cannot parse table spec: [Errno 2] No such file or directory: "
+     "'{missing}'"),
+    (["beam-scan", "{missing}"],
+     "cannot parse table spec: [Errno 2] No such file or directory: "
+     "'{missing}'"),
+], ids=["validate-grid-3", "validate-grid-negative", "validate-grid-2^21",
+        "verify-tol-0", "verify-tol-negative", "verify-tol-nan",
+        "integral-n-100", "orbit-steps-negative", "scan-starts-negative",
+        "scan-max-steps-negative", "scan-both-negative",
+        "validate-missing-spec", "verify-missing-spec",
+        "integral-missing-spec", "orbit-missing-spec",
+        "scan-missing-spec"])
+def test_usage_error_is_one_line_and_exit_2(ellipse_spec, tmp_path, capsys,
+                                            argv, message):
+    missing = str(tmp_path / "missing.json")
+    fill = {"spec": ellipse_spec, "missing": missing}
+    assert main([arg.format(**fill) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message.format(**fill)}\n"
+
+
+def test_verify_without_profile_reports_no_profile_entry(write_spec, capsys):
+    path = write_spec("fourier.json", {"type": "fourier", "c0": 1.0,
+                                       "cos": [0.0, 0.1], "sin": []})
+    assert main(["verify", path, "--suite", "poncelet"]) == 1
+    out = capsys.readouterr().out
+    assert '"max_residual": Infinity' in out
+    report = json.loads(out)
+    assert report["checks"] == [{
+        "check": "poncelet", "grid": 0, "max_residual": math.inf,
+        "pass": False, "tolerance": 1e-8,
+        "error": "table has no 4-periodic profile"}]
+    assert report["pass"] is False
+
+
+def test_verify_all_reports_checks_in_suite_order(ellipse_spec, capsys):
+    assert main(["verify", ellipse_spec, "--grid", "128"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [c["check"] for c in report["checks"]] == \
+        ["twist", "symplectic", "poncelet", "orthoptic", "relations"]
+
+
+# spec files that do not parse: not JSON, not UTF-8, an integer too long
+# for int() (4300 digits), an integer beyond double range
+_RAW_SPECS = {
+    "broken": b"{not json", "not-utf8": b"\xff\xfe{",
+    "long-int": b'{"type": "ellipse", "a": ' + b"1" * 5000 + b', "b": 1}',
+    "huge-int": b'{"type": "ellipse", "a": 1' + b"0" * 400 + b', "b": 1}'}
+
+
+@pytest.mark.parametrize("content", _RAW_SPECS.values(), ids=_RAW_SPECS)
+def test_unparseable_spec_file_is_usage_error(tmp_path, capsys, content):
+    path = tmp_path / "spec.json"
+    path.write_bytes(content)
+    assert main(["table", "validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot parse table spec: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"type": "fourier", "c0": 5e-324}, "c0 = 5e-324 is below 1e-64"),
+    ({"type": "profile", "R": 1e-300, "d_modes": [[2, 0.1, 0]]},
+     "radius = 1e-300 is below 1e-64"),
+    ({"type": "profile", "R": 1.0, "d_modes": [[4 * 10**200 + 2, 0.1, 0]]},
+     "need n <= 1048576 and amplitudes within pi/2"),
+    ({"type": "profile", "R": 1.0, "d_modes": [[2, 1e300, 0]]},
+     "need n <= 1048576 and amplitudes within pi/2"),
+    ({"type": "fourier", "c0": 1.0, "cos": [0.0, 0.9]},
+     "rho = h + h'' reaches -1.7"),
+], ids=["subnormal-c0", "tiny-radius", "huge-harmonic", "huge-amplitude",
+        "non-convex"])
+@pytest.mark.parametrize("command, options", [
+    (["verify"], ["--grid", "16"]),
+    (["orbit"], ["--psi0", "0.3", "--delta0", "0.7", "--steps", "5"]),
+    (["beam-scan"], ["--starts", "4", "--max-steps", "10"]),
+], ids=["verify", "orbit", "beam-scan"])
+def test_degenerate_table_refused_before_the_map(write_spec, capsys, data,
+                                                 message, command, options):
+    # refused before any solve: no division by a zero slope, no overflow
+    # RuntimeWarning, no report
+    path = write_spec("degenerate.json", data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(command + [path] + options) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+
+
+# spec field values: huge, tiny, non-finite, non-numeric and of the wrong
+# type, next to small accepted ones
+_FIELDS = st.one_of(
+    st.sampled_from([1e300, -1e300, 1e65, 10**400, 1e-300, 5e-324, 0.0,
+                     -0.0, math.inf, -math.inf, math.nan, "x", "1,5", "",
+                     None, True, [], [1.0], {"x": 1}]),
+    st.floats(-3.0, 3.0), st.integers(-8, 8))
+_AMPLITUDES = st.one_of(_FIELDS, st.floats(-0.2, 0.2))
+_SPECS = st.one_of(
+    st.sampled_from([{"type": "ellipse", "a": 2.0, "b": 1.0},
+                     {"type": "ellipse", "a": 1.0, "b": 1.0},
+                     {"type": "profile", "R": 1.0,
+                      "d_modes": [[2, 0.1, 0.0], [6, 0.02, 0.0]]},
+                     {"type": "fourier", "c0": 1.0, "cos": [0.0, 0.1]},
+                     {"type": "polygon"}, [], 1.0, None]),
+    st.fixed_dictionaries({"type": st.just("ellipse"), "a": _FIELDS,
+                           "b": _FIELDS}),
+    st.fixed_dictionaries(
+        {"type": st.just("fourier"), "c0": _FIELDS},
+        optional={"cos": st.lists(_AMPLITUDES, max_size=4) | _FIELDS,
+                  "sin": st.lists(_AMPLITUDES, max_size=4) | _FIELDS}),
+    st.fixed_dictionaries(
+        {"type": st.just("profile"), "R": _FIELDS},
+        optional={"d_modes": st.lists(
+            st.lists(st.sampled_from([2, 6, 10, 4 * 10**200 + 2]) | _FIELDS,
+                     min_size=3, max_size=3) | st.lists(_AMPLITUDES),
+            max_size=3) | _FIELDS}))
+
+
+def _option(refused, accepted):
+    return st.sampled_from(refused) | accepted.map(str)
+
+
+_GRIDS = _option(["-4", "0", "3", "100", "2097152", "2" * 30, "x"],
+                 st.sampled_from([2**k for k in range(9)]))
+_TOLS = _option(["0", "-1", "nan", "-inf", "x"],
+                st.sampled_from([1e-8, 1e-3, math.inf]))
+_SEEDS = _option(["x"], st.integers(-2, 2**64 + 2))
+_STEPS = _option(["-1", "x"], st.integers(0, 30))
+_STARTS = _option(["-1", "2097152", "x"], st.integers(0, 8))
+_ANGLES = _option(["nan", "inf", "1e17", "-1e300", "x"],
+                  st.floats(-7.0, 7.0, allow_nan=False))
+_ARGV = st.one_of(
+    st.tuples(st.just(["table", "validate"]), st.tuples(
+        st.just("--grid"), _GRIDS)),
+    st.tuples(st.just(["orbit"]), st.tuples(
+        st.just("--psi0"), _ANGLES, st.just("--delta0"),
+        _ANGLES | st.sampled_from(["1e-10", "0.5", "3.14"]),
+        st.just("--steps"), _STEPS)),
+    st.tuples(st.just(["verify"]), st.tuples(
+        st.just("--suite"), st.sampled_from(["all", "twist", "symplectic",
+                                             "poncelet", "orthoptic",
+                                             "relations"]),
+        st.just("--grid"), _GRIDS, st.just("--tol"), _TOLS,
+        st.just("--seed"), _SEEDS)),
+    st.tuples(st.just(["integral"]), st.tuples(
+        st.just("--n"), _GRIDS | st.sampled_from(["64", "128", "256"]))),
+    st.tuples(st.just(["beam-scan"]), st.tuples(
+        st.just("--starts"), _STARTS, st.just("--max-steps"), _STEPS,
+        st.just("--seed"), _SEEDS)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ARGV, _SPECS | st.sampled_from(["missing", *_RAW_SPECS]),
+       st.booleans())
+def test_cli_fuzz_exit_code_contract(argv, spec, to_file):
+    # any argv and any spec: an exit code in 0-4 and no traceback; a usage
+    # error is one `error: ` line and nothing on stdout
+    command, options = argv
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.json")
+        if not isinstance(spec, str):
+            Path(path).write_text(json.dumps(spec))
+        elif spec != "missing":
+            Path(path).write_bytes(_RAW_SPECS[spec])
+        # --name=value, so that "-1" and "-inf" stay values
+        args = [*command, path, *(f"{name}={value}" for name, value in
+                                  zip(options[::2], options[1::2]))]
+        if to_file and command[0] != "table":
+            args += ["--out", os.path.join(tmp, "out")]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(args)
+                parsed = True
+            except SystemExit as exc:
+                code, parsed = exc.code, False
+    err = err.getvalue()
+    assert code in range(5)
+    assert "Traceback" not in err
+    if code == 2:
+        if parsed:
+            assert out.getvalue() == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+        else:
+            assert err.count("error: ") == 1
