@@ -29,7 +29,8 @@ lies left of the oriented line.
 
 An independent geometric oracle (chord intersection plus equal-angle
 reflection, no momentum relations) cross-checks the generating-function
-route.
+route.  oracle_orbit walks it one vertex at a time and is the one place
+that decides the grazing floor; geometric_reflect is its first step.
 """
 
 from __future__ import annotations
@@ -261,15 +262,10 @@ def inverse_map(spec: SupportSpec, line: LineCoord) -> LineCoord:
 
 def chart_to_line(spec: SupportSpec, bc: BoundaryCoord) -> LineCoord:
     """Line outgoing from gamma(psi) at angle delta: p = h cos + h' sin,
-    phi = psi + delta."""
+    phi = psi + delta.  p is the bounce's p1, base + swing from
+    _incoming's parts as in _bounce, without the S-derivatives."""
     psi, delta = float(bc.psi), float(bc.delta)
-    return _chart_line(spec.jet(psi), psi, delta)
-
-
-def _chart_line(jet, psi, delta) -> LineCoord:
-    """chart_to_line from the jet of h at psi (floats); p1 = base + swing
-    from _incoming's parts, as in _bounce, without the S-derivatives."""
-    _, _, (_, _, base, swing) = _incoming(jet, delta, math)
+    _, _, (_, _, base, swing) = _incoming(spec.jet(psi), delta, math)
     return LineCoord(base + swing, psi + delta)
 
 
@@ -284,44 +280,51 @@ def line_to_chart(spec: SupportSpec, line: LineCoord) -> BoundaryCoord:
 # --- geometric oracle --------------------------------------------------------
 
 
+def oracle_orbit(spec: SupportSpec, psi, delta):
+    """The orbit from gamma(psi) at incidence angle delta by raw geometry,
+    on floats or entrywise on arrays: shoot the chord at angle delta to
+    the tangent, intersect it with the curve, reflect with equal angles.
+    Independent of the momentum relations.
+
+    Yields (psi, delta, p1, (x, y)) per vertex, from one jet of h: p1 is
+    the outgoing momentum h cos delta + h' sin delta (as in _bounce) and
+    (x, y) = gamma(psi) is also the start of the next chord, so only the
+    chord's far end takes further jets.  Raises GrazingRay, before the
+    vertex is yielded, when its incidence angle leaves
+    [DELTA_MIN, pi - DELTA_MIN] (NaN included).  Every vertex is computed
+    in the backend of the start's psi + delta."""
+    xp = _xp(psi + delta)
+    while True:
+        if not xp.all((delta >= DELTA_MIN) & (delta <= math.pi - DELTA_MIN)):
+            raise GrazingRay(f"delta = {delta} outside "
+                             f"[{DELTA_MIN}, pi - {DELTA_MIN}]")
+        jet = spec.jet(psi)
+        x0, y0 = point = _gamma(jet, psi, xp)
+        _, _, (_, _, base, swing) = _incoming(jet, delta, xp)
+        yield psi, delta, base + swing, point
+        angle = psi + delta
+        ex = -xp.sin(_reduce(angle))
+        ey = xp.cos(_reduce(angle))
+
+        def fdf(psi1):
+            # gamma'(psi1) = rho(psi1) t(psi1)
+            jet = spec.jet(psi1)
+            x1, y1 = _gamma(jet, psi1, xp)
+            return (ex * (y1 - y0) - ey * (x1 - x0),
+                    jet.rho * xp.sin(psi1 - angle))
+
+        psi = _solve_increasing(fdf, angle, angle + math.pi,
+                                1.0 + xp.hypot(x0, y0), angle + delta)
+        delta = psi - angle
+
+
 def geometric_reflect(spec: SupportSpec, start_psi, delta) -> BoundaryCoord:
-    """Next bounce by raw geometry, on floats or entrywise on arrays: shoot
-    the chord from gamma(psi) at angle delta to the tangent, intersect it
-    with the curve, reflect with equal angles.  Independent of the
-    momentum relations.  Raises GrazingRay when an incidence angle, given
-    or computed, leaves the floor (NaN included).  The start point comes
-    from its own jet of h, in the backend _reflect would use for it."""
-    start = _gamma(spec.jet(start_psi), start_psi, _xp(start_psi + delta))
-    return _reflect(spec, start, start_psi, delta)
-
-
-def _reflect(spec: SupportSpec, start_point, start_psi,
-             delta) -> BoundaryCoord:
-    """geometric_reflect from the start point (x0, y0) = gamma(start_psi),
-    which a caller tracing an orbit has already computed for its output;
-    it must come from _gamma in the backend of start_psi + delta for the
-    bits of geometric_reflect.  Only the chord's far end takes jets."""
-    angle = start_psi + delta
-    xp = _xp(angle)
-    if not xp.all((delta >= DELTA_MIN) & (delta <= math.pi - DELTA_MIN)):
-        raise GrazingRay(f"delta = {delta} outside [{DELTA_MIN}, pi - {DELTA_MIN}]")
-    x0, y0 = start_point
-    ex = -xp.sin(_reduce(angle))
-    ey = xp.cos(_reduce(angle))
-
-    def fdf(psi1):
-        # gamma'(psi1) = rho(psi1) t(psi1)
-        jet = spec.jet(psi1)
-        x1, y1 = _gamma(jet, psi1, xp)
-        return (ex * (y1 - y0) - ey * (x1 - x0),
-                jet.rho * xp.sin(psi1 - angle))
-
-    psi1 = _solve_increasing(fdf, angle, angle + math.pi,
-                             1.0 + xp.hypot(x0, y0), angle + delta)
-    delta1 = psi1 - angle
-    if not xp.all(delta1 >= DELTA_MIN):
-        raise GrazingRay(f"image incidence angle {delta1} below floor")
-    return BoundaryCoord(psi1, delta1)
+    """Next bounce of oracle_orbit, on floats or entrywise on arrays.
+    Raises GrazingRay when an incidence angle, given or computed, leaves
+    the floor (NaN included)."""
+    orbit = oracle_orbit(spec, start_psi, delta)
+    next(orbit)
+    return BoundaryCoord(*next(orbit)[:2])
 
 
 # --- symplecticity checks ----------------------------------------------------

@@ -3,8 +3,9 @@
 Machine output (JSON reports, CSV traces) goes to stdout or --out and is
 byte-deterministic for a fixed configuration; human-readable notes go to
 stderr.  Exit codes: 0 success / all checks pass, 1 validation or check
-failure, 2 parse or usage error (e.g. a grid or start count above
-MAX_POINTS), 3 grazing ray mid-orbit, 4 unsupported table representation.
+failure, 2 parse or usage error (e.g. a grid below MIN_GRID or a grid or
+start count above MAX_POINTS), 3 grazing ray (an orbit start or bounce
+off the floor), 4 unsupported table representation.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import numpy as np
 
 from . import __version__
 from .beam import conjugate_scan
-from .billmap import DELTA_MIN, _chart_line, _gamma, _reflect, \
-    jacobian_check_batch, s_derivatives
+from .billmap import DELTA_MIN, jacobian_check_batch, oracle_orbit, \
+    s_derivatives
 from .errors import BilliardError, CurvatureViolation, GrazingRay, SpecError
 from .fourperiodic import table_profile, verify_d_h_relations, verify_orthoptic, \
     verify_parallelogram
@@ -33,6 +34,10 @@ from .wirtinger import reduction_chain
 # largest --grid, --n or --starts: a run at this size peaks near 1 GB
 # (beam-scan, about 1 KB per start), well inside an 8 GB machine
 MAX_POINTS = 2**20
+# smallest --grid or --n: the integral chain refuses fewer points, and on
+# a few points the grid checks are vacuous (at 1 the orthoptic check
+# compares one sample with its own mean and passes any table)
+MIN_GRID = 64
 
 
 # one orbit row, step,psi,delta,p,phi,x,y: the bytes of f"{v:.17g}" per
@@ -50,8 +55,9 @@ def _usage(args) -> None:
     grid = getattr(args, "grid", 1024)
     if not (grid > 0 and grid & (grid - 1) == 0):
         raise UsageError(f"grid size {grid} must be a power of two")
-    if args.command == "integral" and grid < 64:
-        raise UsageError(f"grid size {grid} must be a power of two >= 64")
+    if grid < MIN_GRID:
+        raise UsageError(f"grid size {grid} must be a power of two "
+                         f">= {MIN_GRID}")
     if grid > MAX_POINTS:
         raise UsageError(f"grid size {grid} exceeds {MAX_POINTS}")
     if getattr(args, "starts", 0) > MAX_POINTS:
@@ -137,34 +143,23 @@ def cmd_orbit(args) -> int:
     spec = _load(args.spec)
     validate_table(spec)
     rows = ["step,psi,delta,p,phi,x,y"]
-    grazed = False
-    psi, delta = args.psi0, args.delta0
     ellipse = isinstance(spec, EllipseTable)
     if ellipse:
         a2, b2 = spec.a**2, spec.b**2
     lams = []
-    for step in range(args.steps + 1):
-        try:
-            jet = spec.jet(psi)     # one jet of h per bounce
-            p, phi = _chart_line(jet, psi, delta)
-        except BilliardError:
-            grazed = True
-            break
-        if not (DELTA_MIN <= delta <= math.pi - DELTA_MIN):
-            grazed = True
-            break
-        point = _gamma(jet, psi, math)   # the row's point, the chord's start
-        rows.append(_ROW % (step, psi, delta, p, phi, *point))
-        if ellipse:
-            lams.append(a2 * math.cos(phi)**2 + b2 * math.sin(phi)**2
-                        - p**2)
-        if step == args.steps:
-            break
-        try:
-            psi, delta = _reflect(spec, point, psi, delta)
-        except GrazingRay:
-            grazed = True
-            break
+    try:
+        # range first, so the bounce after the last row is never computed
+        for step, (psi, delta, p, point) in zip(
+                range(args.steps + 1),
+                oracle_orbit(spec, args.psi0, args.delta0)):
+            phi = psi + delta
+            rows.append(_ROW % (step, psi, delta, p, phi, *point))
+            if ellipse:
+                lams.append(a2 * math.cos(phi)**2 + b2 * math.sin(phi)**2
+                            - p**2)
+        grazed = False
+    except GrazingRay:
+        grazed = True
     text = "\n".join(rows) + "\n"
     if ellipse and lams and not grazed:
         drift = max(abs(l - lams[0]) for l in lams)

@@ -20,11 +20,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .beam import BeamState
-from .billmap import BoundaryCoord, _bounce, _gamma, _reflect, chart_to_line
+from .billmap import BoundaryCoord, chart_to_line, oracle_orbit
 from .profiles import (AngleProfile, EllipseProfile, Profile, _xp,
                        ellipse_profile, profile_from_modes, validate_profile)
 from .supportfn import EllipseTable, ProfileTable, SupportSpec
@@ -85,7 +86,7 @@ def verify_parallelogram(spec: SupportSpec, profile, psi,
     all ~0 when {delta = d(psi)} really consists of 4-periodic orbits;
     `passed` compares the worst of them against tol.  One jet of h per
     vertex gives its point, which is also the oracle's chord start, and
-    its outgoing momentum.
+    its outgoing momentum (oracle_orbit).
     """
     xp = _xp(psi)
     if xp is np:
@@ -94,15 +95,8 @@ def verify_parallelogram(spec: SupportSpec, profile, psi,
         delta = np.array([profile.jet(s)[0] for s in psi.tolist()])
     else:
         psi, delta = float(psi), float(profile.jet(psi)[0])
-    psis, deltas, points, momenta = [psi], [delta], [], []
-    for _ in range(4):
-        jet = spec.jet(psi)
-        points.append(_gamma(jet, psi, xp))
-        momenta.append(_bounce(jet, delta, xp)[1])
-        psi, delta = _reflect(spec, points[-1], psi, delta)
-        psis.append(psi)
-        deltas.append(delta)
-    points.append(_gamma(spec.jet(psi), psi, xp))
+    psis, deltas, momenta, points = zip(
+        *islice(oracle_orbit(spec, psi, delta), 5))
     # np.hypot on floats too: math.hypot differs from it in the last bit
     # on some pairs, and a float launch keeps the residuals it reported
     dist = np.hypot if xp is np else lambda x, y: float(np.hypot(x, y))
@@ -111,8 +105,8 @@ def verify_parallelogram(spec: SupportSpec, profile, psi,
     central = (dist(x2 + x0, y2 + y0), dist(x3 + x1, y3 + y1))
     half = (xp.abs(psis[2] - psis[0] - math.pi),
             xp.abs(psis[3] - psis[1] - math.pi))
-    return PonceletQuad(points=tuple(points), psis=tuple(psis),
-                        deltas=tuple(deltas[:4]), momenta=tuple(momenta),
+    return PonceletQuad(points=points, psis=psis, deltas=deltas[:4],
+                        momenta=momenta[:4],
                         closure=closure, central_symmetry=central,
                         half_turn=half, tolerance=tol,
                         passed=_worst(closure, *central, *half) <= tol)

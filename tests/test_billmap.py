@@ -1,8 +1,11 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import billiards
 from billiards.billmap import (BoundaryCoord, LineCoord, boundary_point,
                                chart_change_determinant, chart_to_line,
                                forward_map, forward_map_batch, generating_S,
@@ -418,3 +421,23 @@ def test_twist_positive_on_grid(ellipse21, mode6_table):
 def test_half_turn():
     line = half_turn(LineCoord(0.25, 1.0))
     assert line == (0.25, 1.0 + math.pi)
+
+
+# --- module boundaries -------------------------------------------------------
+
+
+# the oracle's and the bounce record's internals, private to billmap
+_BILLMAP_INTERNALS = {"_incoming", "_bounce", "_gamma", "_reflect",
+                      "_chart_line"}
+
+
+@pytest.mark.parametrize("module", ["cli", "fourperiodic", "sampling", "beam",
+                                    "wirtinger"])
+def test_only_billmap_reaches_its_internals(module):
+    path = Path(billiards.__file__).parent / f"{module}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[-1] == "billmap"
+                for alias in node.names}
+    assert not imported & _BILLMAP_INTERNALS

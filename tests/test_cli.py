@@ -199,13 +199,17 @@ def test_orbit_byte_determinism(ellipse_spec, tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_orbit_grazing_aborts_with_exit_3(ellipse_spec, tmp_path):
-    out = tmp_path / "trace.csv"
-    code = main(["orbit", ellipse_spec, "--psi0", "0", "--delta0", "1e-10",
-                 "--steps", "5", "--out", str(out)])
-    assert code == 3
-    # partial output: header only, the start already grazes
-    assert out.read_text().splitlines()[0] == "step,psi,delta,p,phi,x,y"
+def test_orbit_grazing_aborts_with_exit_3(ellipse_spec, tmp_path, capsys):
+    # a start just inside either end of the floor already grazes: the
+    # partial output is the header alone
+    for delta0 in ("1e-10", "3.1415926530"):
+        out = tmp_path / "trace.csv"
+        code = main(["orbit", ellipse_spec, "--psi0", "0", "--delta0",
+                     delta0, "--steps", "5", "--out", str(out)])
+        assert code == 3
+        assert out.read_text() == "step,psi,delta,p,phi,x,y\n"
+        assert capsys.readouterr().err == \
+            "error: grazing ray, orbit aborted with partial output\n"
 
 
 @pytest.mark.parametrize("psi0, delta0", [
@@ -358,12 +362,19 @@ def test_verify_rejects_bad_grid(ellipse_spec):
     assert main(["verify", ellipse_spec, "--grid", "1000"]) == 2
 
 
-@pytest.mark.parametrize("n", ["16", "32"])
+@pytest.mark.parametrize("n", ["1", "16", "32"])
 def test_integral_rejects_small_grid(ellipse_spec, capsys, n):
-    # a power of two below the chain's 64-point floor is a usage error
-    assert main(["integral", ellipse_spec, "--n", n]) == 2
-    assert capsys.readouterr().err == \
-        f"error: grid size {n} must be a power of two >= 64\n"
+    # a power of two below the 64-point floor is a usage error for every
+    # grid option: at --grid 1 the orthoptic check passed any table
+    for argv in (["integral", ellipse_spec, "--n", n],
+                 ["verify", ellipse_spec, "--suite", "orthoptic",
+                  "--grid", n],
+                 ["table", "validate", ellipse_spec, "--grid", n]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            f"error: grid size {n} must be a power of two >= 64\n"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -594,7 +605,7 @@ def test_unparseable_spec_file_is_usage_error(tmp_path, capsys, content):
 ], ids=["subnormal-c0", "tiny-radius", "huge-harmonic", "huge-amplitude",
         "non-convex"])
 @pytest.mark.parametrize("command, options", [
-    (["verify"], ["--grid", "16"]),
+    (["verify"], ["--grid", "64"]),
     (["orbit"], ["--psi0", "0.3", "--delta0", "0.7", "--steps", "5"]),
     (["beam-scan"], ["--starts", "4", "--max-steps", "10"]),
 ], ids=["verify", "orbit", "beam-scan"])
@@ -645,8 +656,8 @@ def _option(refused, accepted):
     return st.sampled_from(refused) | accepted.map(str)
 
 
-_GRIDS = _option(["-4", "0", "3", "100", "2097152", "2" * 30, "x"],
-                 st.sampled_from([2**k for k in range(9)]))
+_GRIDS = _option(["-4", "0", "1", "3", "32", "100", "2097152", "2" * 30,
+                  "x"], st.sampled_from([64, 128, 256]))
 _TOLS = _option(["0", "-1", "nan", "-inf", "x"],
                 st.sampled_from([1e-8, 1e-3, math.inf]))
 _SEEDS = _option(["x"], st.integers(-2, 2**64 + 2))
@@ -667,8 +678,7 @@ _ARGV = st.one_of(
                                              "relations"]),
         st.just("--grid"), _GRIDS, st.just("--tol"), _TOLS,
         st.just("--seed"), _SEEDS)),
-    st.tuples(st.just(["integral"]), st.tuples(
-        st.just("--n"), _GRIDS | st.sampled_from(["64", "128", "256"]))),
+    st.tuples(st.just(["integral"]), st.tuples(st.just("--n"), _GRIDS)),
     st.tuples(st.just(["beam-scan"]), st.tuples(
         st.just("--starts"), _STARTS, st.just("--max-steps"), _STEPS,
         st.just("--seed"), _SEEDS)))
