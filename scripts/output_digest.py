@@ -6,7 +6,7 @@ The package is imported from `DIR`, by default the `src/` of the checkout
 that holds this script, so one version of the script can digest two trees
 (say, `git archive` exports of a parent commit and of a change).
 For each table of the benchmark (`perfbench/workloads.py`), and for one
-Fourier table after them, it prints seven digests:
+Fourier table after them, it prints eight digests:
 
 - `maps`: the `p`/`phi` bytes of 200 cold `forward_map_batch` steps from
   the 256 seed-42 `scan_starts`, then `jacobian_check_batch` on 1000
@@ -25,10 +25,15 @@ Fourier table after them, it prints seven digests:
 - `validate`: the stdout bytes of `billiard table validate`.
 - `scan`: the stdout bytes of `billiard beam-scan --max-steps 500` (256
   seed-42 starts).
+- `poncelet`: the raw `points`, `psis` and `momenta` bytes of
+  `verify_parallelogram` on the 64 array starts of `verify`'s Poncelet
+  check, every vertex of the geometric oracle on arrays; `verify` itself
+  prints only their worst residual.
 
 The Fourier table has no angle profile: its `verify` exits 1 with the
 no-profile entries of `poncelet` and `relations`, its `integral` exits 4,
-and its `jet` is the Fourier series, which no benchmark table uses.
+its `poncelet` line reads `(no angle profile)`, and its `jet` is the
+Fourier series, which no benchmark table uses.
 Every command is covered; the archived scan
 `reports/conjugate_scan_mode6.json` covers `beam-scan` at full length
 (`cmp` its output). A change that leaves the numerics alone prints the
@@ -44,9 +49,12 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -60,6 +68,7 @@ ORBIT_ARGS = ("--psi0", "0.3", "--delta0", "0.7", "--steps", "500")
 LONG_ORBIT_ARGS = ("--psi0", "2.5", "--delta0", "0.5", "--steps", "2000")
 SCAN_ARGS = ("--max-steps", "500")
 VERIFY_SEEDS = (42, 7)
+PONCELET_STARTS = 64
 TABLES = {**TABLE_SPECS,
           "fourier": {"type": "fourier", "c0": 1.0,
                       "cos": [0.0, 0.1, 0.0, 0.02], "sin": [0.0, 0.03]}}
@@ -83,6 +92,26 @@ def maps_digest(spec, line_seed: int) -> str:
     except SolverError as exc:
         digest.update(f"SolverError: {exc}".encode())
         return f"{digest.hexdigest()} (SolverError: {exc})"
+    return digest.hexdigest()
+
+
+def poncelet_digest(spec) -> str:
+    from billiards.errors import GrazingRay, SolverError
+    from billiards.fourperiodic import table_profile, verify_parallelogram
+
+    profile = table_profile(spec)
+    if profile is None:
+        return "(no angle profile)"
+    digest = hashlib.sha256()
+    starts = np.linspace(0.0, 2.0 * math.pi, PONCELET_STARTS, endpoint=False)
+    try:
+        quad = verify_parallelogram(spec, profile, starts)
+    except (GrazingRay, SolverError) as exc:
+        digest.update(f"{type(exc).__name__}: {exc}".encode())
+        return f"{digest.hexdigest()} ({type(exc).__name__}: {exc})"
+    for values in (*quad.points, quad.psis, quad.momenta):
+        for array in values:
+            digest.update(array.tobytes())
     return digest.hexdigest()
 
 
@@ -130,6 +159,7 @@ def main(argv=None) -> int:
                   f"{cli_digest(['table', 'validate', str(path)])}")
             print(f"{name:10s} scan      "
                   f"{cli_digest(['beam-scan', str(path), *SCAN_ARGS])}")
+            print(f"{name:10s} poncelet  {poncelet_digest(spec)}")
     return 0
 
 

@@ -162,7 +162,7 @@ def _predictors(ring):
     a = np.stack([w[1] + w[5], w[2] + w[4], w[3], w[0] + w[6]], axis=1)
     mean = _total(a) / m
     a -= mean
-    normal = _total(a[:, :, None] * a[:, None]).transpose(2, 0, 1)
+    normal = _total(r[:, None] * r[None] for r in a).transpose(2, 0, 1)
     gram, rhs = normal[:, :3, :3], normal[:, :3, 3]
     # a diagonal load far below rounding of the fit keeps a rank-deficient
     # window (fewer than 3 harmonics) regular; an all-zero one (constant

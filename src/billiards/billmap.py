@@ -161,12 +161,10 @@ def half_turn(line: LineCoord) -> LineCoord:
 
 
 _EPS = float(np.finfo(float).eps)
-
-
-def _granularity(x, slope):
-    # At lifted angle x the unknown itself is quantized at ulp(x), so the
-    # residual cannot be driven below ~ slope * ulp(x).
-    return 32.0 * _EPS * (1.0 + abs(x)) * abs(slope)
+# At lifted angle x the unknown itself is quantized at ulp(x), so the
+# residual cannot be driven below ~ slope * ulp(x): the floor is
+# _FLOOR (1 + |x|) |slope|
+_FLOOR = 32.0 * _EPS
 
 
 def _solve_increasing(fdf, lo, hi, scale, guess=None):
@@ -186,7 +184,7 @@ def _solve_increasing(fdf, lo, hi, scale, guess=None):
     for _ in range(MAX_ITERATIONS):
         fx, slope = fdf(x)
         res = abs(fx)
-        met = res <= tol + _granularity(x, slope)
+        met = res <= tol + _FLOOR * (1.0 + abs(x)) * abs(slope)
         step = x - fx / slope
         lo = xp.where(fx < 0.0, x, lo)
         hi = xp.where(fx > 0.0, x, hi)
@@ -289,29 +287,44 @@ def oracle_orbit(spec: SupportSpec, psi, delta):
     Yields (psi, delta, p1, (x, y)) per vertex, from one jet of h: p1 is
     the outgoing momentum h cos delta + h' sin delta (as in _bounce) and
     (x, y) = gamma(psi) is also the start of the next chord, so only the
-    chord's far end takes further jets.  Raises GrazingRay, before the
-    vertex is yielded, when its incidence angle leaves
-    [DELTA_MIN, pi - DELTA_MIN] (NaN included).  Every vertex is computed
-    in the backend of the start's psi + delta."""
+    chord's far end takes further jets.  The solver's last evaluation of
+    that far end is kept, and when the root is that very point it is the
+    next vertex's jet and point.  Raises GrazingRay, before the vertex is
+    evaluated, when its incidence angle leaves [DELTA_MIN, pi - DELTA_MIN]
+    (NaN included).  Every vertex is computed in the backend of the
+    start's psi + delta."""
     xp = _xp(psi + delta)
+    kept = None
     while True:
         if not xp.all((delta >= DELTA_MIN) & (delta <= math.pi - DELTA_MIN)):
             raise GrazingRay(f"delta = {delta} outside "
                              f"[{DELTA_MIN}, pi - {DELTA_MIN}]")
-        jet = spec.jet(psi)
-        x0, y0 = point = _gamma(jet, psi, xp)
+        # the jet and gamma depend on psi only through _reduce(psi), so an
+        # evaluation at an equal psi1 has their bits: +0.0 and -0.0 reduce
+        # to +0.0 before any trig, and NaN, equal to nothing, is evaluated
+        # afresh; an array reuses only when every entry is equal
+        if kept is not None and xp.all(kept[0] == psi):
+            _, jet, point = kept
+        else:
+            jet = spec.jet(psi)
+            point = _gamma(jet, psi, xp)
+        x0, y0 = point
         _, _, (_, _, base, swing) = _incoming(jet, delta, xp)
         yield psi, delta, base + swing, point
         angle = psi + delta
-        ex = -xp.sin(_reduce(angle))
-        ey = xp.cos(_reduce(angle))
+        reduced = _reduce(angle)
+        ex = -xp.sin(reduced)
+        ey = xp.cos(reduced)
 
         def fdf(psi1):
-            # gamma'(psi1) = rho(psi1) t(psi1)
+            nonlocal kept
             jet = spec.jet(psi1)
-            x1, y1 = _gamma(jet, psi1, xp)
+            x1, y1 = point = _gamma(jet, psi1, xp)
+            kept = psi1, jet, point
+            h, _, ddh = jet
+            # gamma'(psi1) = rho(psi1) t(psi1)
             return (ex * (y1 - y0) - ey * (x1 - x0),
-                    jet.rho * xp.sin(psi1 - angle))
+                    (h + ddh) * xp.sin(psi1 - angle))
 
         psi = _solve_increasing(fdf, angle, angle + math.pi,
                                 1.0 + xp.hypot(x0, y0), angle + delta)

@@ -3,9 +3,10 @@
 Machine output (JSON reports, CSV traces) goes to stdout or --out and is
 byte-deterministic for a fixed configuration; human-readable notes go to
 stderr.  Exit codes: 0 success / all checks pass, 1 validation or check
-failure, 2 parse or usage error (e.g. a grid below MIN_GRID or a grid or
-start count above MAX_POINTS), 3 grazing ray (an orbit start or bounce
-off the floor), 4 unsupported table representation.
+failure, 2 parse or usage error (e.g. a grid below MIN_GRID, a grid or
+start count above MAX_POINTS, or an --out that cannot be opened), 3
+grazing ray (an orbit start or bounce off the floor), 4 unsupported table
+representation.
 """
 
 from __future__ import annotations
@@ -71,7 +72,12 @@ def _usage(args) -> None:
 
 def _emit(text: str, out_path) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as f:
+        try:
+            f = open(out_path, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise UsageError(f"cannot write {out_path}: "
+                             f"{exc.strerror or exc}") from exc
+        with f:
             f.write(text)
     else:
         sys.stdout.write(text)

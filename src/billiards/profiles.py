@@ -52,17 +52,21 @@ def _series_jet(const, modes, psi):
     the (n, a, b) in modes, term by term: the one body behind a profile's
     d and a Fourier table's h."""
     xp = _xp(psi)
+    cos, sin = xp.cos, xp.sin
     psi = _reduce(psi)
     zero = 0.0 * psi
     f = const + zero
     df = zero
     ddf = zero
     for n, a, b in modes:
-        c = xp.cos(n * psi)
-        s = xp.sin(n * psi)
-        f = f + a * c + b * s
+        arg = n * psi
+        c = cos(arg)
+        s = sin(arg)
+        ac = a * c
+        bs = b * s
+        f = f + ac + bs
         df = df + n * (b * c - a * s)
-        ddf = ddf - n * n * (a * c + b * s)
+        ddf = ddf - n * n * (ac + bs)
     return f, df, ddf
 
 
@@ -124,8 +128,9 @@ class EllipseProfile:
         xp = _xp(psi)
         psi = _reduce(psi)
         A = self.amplitude
-        c2 = xp.cos(2.0 * psi)
-        s2 = xp.sin(2.0 * psi)
+        psi2 = 2.0 * psi
+        c2 = xp.cos(psi2)
+        s2 = xp.sin(psi2)
         u = A * c2
         w = xp.sqrt(1.0 - u * u)
         d = 0.5 * xp.arccos(u)

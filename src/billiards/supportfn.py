@@ -57,6 +57,12 @@ class Jet2(NamedTuple):
         return 1.0 / self.rho
 
 
+def _jet2(h, dh, ddh) -> Jet2:
+    """Jet2(h, dh, ddh) without the generated __new__, which costs a
+    quarter of a float jet."""
+    return tuple.__new__(Jet2, (h, dh, ddh))
+
+
 @dataclass(frozen=True)
 class EllipseTable:
     """h(psi) = sqrt(a^2 cos^2 psi + b^2 sin^2 psi), a >= b > 0."""
@@ -72,29 +78,30 @@ class EllipseTable:
         # stay finite and nonzero in double precision
         aa = self.a * self.a
         bb = self.b * self.b
+        mean = 0.5 * (aa + bb)
         half = 0.5 * (aa - bb)
         if not (math.isfinite(4.0 * half * half)
                 and math.isfinite(4.0 * aa * self.a)
-                and (0.5 * (aa + bb) - half) * self.b > 0.0):
+                and (mean - half) * self.b > 0.0):
             raise ValueError(f"semi-axes a={self.a}, b={self.b} leave double "
                              "precision: the jet would overflow, underflow "
                              "or lose b^2 against a^2")
+        # g = mean + half cos 2psi and the factors of g' and g'', once
+        object.__setattr__(self, "_g", (mean, half, -2.0 * half, -4.0 * half))
 
     def jet(self, psi) -> Jet2:
         xp = _xp(psi)
-        psi = _reduce(psi)
-        aa = self.a * self.a
-        bb = self.b * self.b
-        mean = 0.5 * (aa + bb)
-        half = 0.5 * (aa - bb)
-        c2 = xp.cos(2.0 * psi)
+        psi2 = 2.0 * _reduce(psi)
+        mean, half, dg_amp, ddg_amp = self._g
+        c2 = xp.cos(psi2)
         g = mean + half * c2
-        dg = -2.0 * half * xp.sin(2.0 * psi)
-        ddg = -4.0 * half * c2
+        dg = dg_amp * xp.sin(psi2)
+        ddg = ddg_amp * c2
         h = xp.sqrt(g)
-        dh = dg / (2.0 * h)
-        ddh = ddg / (2.0 * h) - dg * dg / (4.0 * g * h)
-        return Jet2(h, dh, ddh)
+        h2 = 2.0 * h
+        dh = dg / h2
+        ddh = ddg / h2 - dg * dg / (4.0 * g * h)
+        return _jet2(h, dh, ddh)
 
 
 @dataclass(frozen=True)
@@ -115,12 +122,13 @@ class FourierTable:
         _check_size(self.c0, "c0", scale=True)
         for c in self.cos_coeffs + self.sin_coeffs:
             _check_size(c, "coefficient")
-
-    def jet(self, psi) -> Jet2:
         # harmonic k = 1, 2, ...; the shorter coefficient list pads with 0
         pairs = zip_longest(self.cos_coeffs, self.sin_coeffs, fillvalue=0.0)
-        return Jet2(*_series_jet(self.c0, ((k, c, s) for k, (c, s)
-                                           in enumerate(pairs, 1)), psi))
+        object.__setattr__(self, "_modes", tuple(
+            (k, c, s) for k, (c, s) in enumerate(pairs, 1)))
+
+    def jet(self, psi) -> Jet2:
+        return _jet2(*_series_jet(self.c0, self._modes, psi))
 
 
 @dataclass(frozen=True)
@@ -136,18 +144,16 @@ class ProfileTable:
         _check_size(self.radius, "radius", scale=True)
 
     def jet(self, psi) -> Jet2:
-        return _profile_support_jet(self.radius, *self.profile.jet(psi))
-
-
-def _profile_support_jet(R: float, d, dp, ddp) -> Jet2:
-    """The 2-jet of h = R sin d from the profile's 2-jet (d, d', d'')."""
-    xp = _xp(d)
-    return _support_jet_sc(R, xp.sin(d), xp.cos(d), dp, ddp)
+        """The 2-jet of h = R sin d from the profile's (d, d', d'')."""
+        d, dp, ddp = self.profile.jet(psi)
+        xp = _xp(d)
+        return _support_jet_sc(self.radius, xp.sin(d), xp.cos(d), dp, ddp)
 
 
 def _support_jet_sc(R: float, sd, cd, dp, ddp) -> Jet2:
-    """_profile_support_jet from sd = sin d and cd = cos d."""
-    return Jet2(R * sd, R * cd * dp, R * (cd * ddp - sd * dp * dp))
+    """The 2-jet of h = R sin d from sd = sin d, cd = cos d and the
+    profile's d' and d''."""
+    return _jet2(R * sd, R * cd * dp, R * (cd * ddp - sd * dp * dp))
 
 
 SupportSpec = EllipseTable | FourierTable | ProfileTable

@@ -45,8 +45,8 @@ import numpy as np
 from .billmap import LineCoord, forward_map_batch
 from .errors import AliasingWarning, NoRealCaustic
 from .profiles import _xp, validate_profile
-from .supportfn import ProfileTable, SupportSpec, _profile_support_jet, \
-    _support_jet_sc, ellipse_support, validate_table
+from .supportfn import ProfileTable, SupportSpec, _support_jet_sc, \
+    ellipse_support, validate_table
 
 
 # points per reduction_chain block: its float64 temporaries (64 KB) stay
@@ -187,8 +187,8 @@ def split_U(profile, R: float, psi):
         U3 = h (h + h'')(h h'' - h'^2) d / 8
     """
     xp = _xp(psi)
-    d, dp, ddp = profile.jet(psi)
-    h, dh, ddh = _profile_support_jet(R, d, dp, ddp)
+    d = profile.jet(psi)[0]
+    h, dh, ddh = ProfileTable(profile, R).jet(psi)
     rho = h + ddh
     u1 = 0.25 * h * dh * dh * rho * xp.sin(2.0 * d)
     u2 = -h * rho * (3.0 * dh * dh + h * ddh) * xp.sin(4.0 * d) / 32.0

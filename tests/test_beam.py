@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -436,3 +437,22 @@ def test_circle_vertical_never_returns(circle):
         v = push_tangent(circle, v)
         assert v.dphi == pytest.approx(-2.0 * n / math.sin(delta), rel=1e-9)
         v = TangentVector(v.dp, v.dphi, v.line)
+
+
+def test_fit_peak_memory_per_start():
+    # the normal equations of _predictors are summed one equation at a time;
+    # the (19, 4, 4, starts) outer product they replace peaked at 3.35 KB
+    # per start, the streamed sum measured 1.18 KB
+    n = 16384
+    rng = np.random.default_rng(5)
+    angle = (rng.uniform(0.0, 2.0 * math.pi, n)
+             + np.arange(RING)[:, None] * rng.uniform(0.5, 1.5, n))
+    ring = 1.0 + 0.1 * np.cos(angle) + 0.01 * np.cos(3.0 * angle)
+    tracemalloc.start()
+    try:
+        row, _, _ = _fit(ring)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row.shape == (6, n)
+    assert peak / n <= 1250.0

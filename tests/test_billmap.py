@@ -1,5 +1,6 @@
 import ast
 import math
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +11,10 @@ from billiards.billmap import (BoundaryCoord, LineCoord, boundary_point,
                                chart_change_determinant, chart_to_line,
                                forward_map, forward_map_batch, generating_S,
                                geometric_reflect, half_turn, inverse_map,
-                               jacobian_check_batch, line_to_chart, p_of,
-                               s_derivatives)
+                               jacobian_check_batch, line_to_chart,
+                               oracle_orbit, p_of, s_derivatives)
 from billiards.errors import GrazingRay, OutsideCylinder, SolverError
+from billiards.fourperiodic import table_profile
 from billiards.profiles import ellipse_profile
 from billiards.sampling import SplitMix64, random_interior_lines
 
@@ -348,6 +350,42 @@ def test_geometric_reflect_float_matches_array(spec_name, request):
     for i in range(32):
         scalar = geometric_reflect(spec, float(psi[i]), float(delta[i]))
         assert (psi1[i], delta1[i]) == (scalar.psi, scalar.delta)
+
+
+# the tables of the certify benchmark workload, in its order, and the
+# measured table jet calls per oracle bounce over 2000 bounces from its
+# seed-42 orbit starts; each vertex reuses the solver's last chord
+# evaluation when the root is that point (without reuse: 2.00, 6.00,
+# 5.61 and 6.28)
+CERTIFY_JETS_PER_BOUNCE = [("circle", 1.001), ("ellipse21", 5.215),
+                           ("profile_a_table", 4.841), ("mode6_table", 5.594)]
+
+
+@pytest.mark.parametrize("spec_name, bound", CERTIFY_JETS_PER_BOUNCE)
+def test_oracle_orbit_jets_per_bounce(spec_name, bound, request, monkeypatch):
+    spec = request.getfixturevalue(spec_name)
+    # the benchmark's orbit start of this table: a seeded psi0 and a seeded
+    # share, 1/4 to 3/4, of d(psi0), two draws per table in table order
+    index = [name for name, _ in CERTIFY_JETS_PER_BOUNCE].index(spec_name)
+    rng = SplitMix64(42)
+    draws = [rng.next_float() for _ in range(2 * index + 2)]
+    psi0 = 2.0 * math.pi * draws[-2]
+    delta0 = table_profile(spec).jet(psi0)[0] * (0.25 + 0.5 * draws[-1])
+    calls = 0
+    jet = type(spec).jet
+
+    def counted(self, psi):
+        nonlocal calls
+        calls += 1
+        return jet(self, psi)
+
+    monkeypatch.setattr(type(spec), "jet", counted)
+    vertices = list(islice(oracle_orbit(spec, psi0, delta0), 2001))
+    assert calls / 2000 <= bound
+    # a reused vertex has the bits of a fresh evaluation at its psi
+    for psi, delta, p1, point in vertices:
+        assert point == boundary_point(spec, psi)
+        assert p1 == chart_to_line(spec, BoundaryCoord(psi, delta)).p
 
 
 # --- symplecticity ---------------------------------------------------------------

@@ -391,6 +391,29 @@ def test_oversized_run_is_usage_error(ellipse_spec, capsys, argv, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--psi0", "1", "--delta0", "0.5", "--steps", "2"],
+    ["verify", "--suite", "orthoptic", "--grid", "64"],
+    ["integral", "--n", "64"],
+    ["beam-scan", "--starts", "4", "--max-steps", "2"],
+], ids=["orbit", "verify", "integral", "beam-scan"])
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_unwritable_out_is_usage_error(ellipse_spec, tmp_path, capsys, argv,
+                                       target):
+    # an --out that cannot be opened is one error line and exit 2, not a
+    # traceback; integral's check notes on stderr come before it
+    out = tmp_path / "missing" / "x.out" if target == "missing-directory" \
+        else tmp_path
+    assert main([argv[0], ellipse_spec, *argv[1:], "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines()
+              if line.startswith("error:")]
+    assert errors == [captured.err.splitlines()[-1]]
+    assert errors[0].startswith(f"error: cannot write {out}: ")
+    assert not (tmp_path / "missing").exists()
+
+
 def test_verify_byte_determinism(ellipse_spec, tmp_path):
     blobs = []
     for name in ("r1.json", "r2.json"):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from billiards.billmap import BoundaryCoord, chart_to_line, forward_map, half_turn
+from billiards.billmap import BoundaryCoord, boundary_point, chart_to_line, \
+    forward_map, half_turn
 from billiards.fourperiodic import (AngleProfile, ellipse_profile,
                                     invariant_curve_state,
                                     table_profile, validate_profile,
@@ -113,6 +114,19 @@ def test_parallelogram_array_launch_equals_float_launches(spec_name, request):
         assert quad.half_turn == tuple(a[i] for a in batch.half_turn)
         assert quad.max_residual == batch.max_residual[i]
         assert quad.passed == batch.passed[i]
+
+
+@pytest.mark.parametrize("spec_name", ["circle", "ellipse21",
+                                       "profile_a_table", "mode6_table"])
+def test_parallelogram_array_vertices_are_boundary_points(spec_name, request):
+    # a vertex the array launch takes from the solver's last chord
+    # evaluation has the bits of a fresh evaluation at its psi
+    spec = request.getfixturevalue(spec_name)
+    starts = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
+    quad = verify_parallelogram(spec, table_profile(spec), starts)
+    for (x, y), psi in zip(quad.points, quad.psis):
+        x_fresh, y_fresh = boundary_point(spec, psi)
+        assert np.array_equal(x, x_fresh) and np.array_equal(y, y_fresh)
 
 
 def test_parallelogram_mode6_table(mode6_table, mode6_profile):

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 
 from billiards.errors import CurvatureViolation
 from billiards.profiles import AngleProfile, ellipse_profile
-from billiards.supportfn import (FourierTable, arclength_of_psi,
+from billiards.supportfn import (FourierTable, Jet2, arclength_of_psi,
                                  ellipse_support, is_centrally_symmetric,
                                  perimeter,
                                  symmetry_defect, table_from_dict,
@@ -189,3 +189,23 @@ def test_jets_accept_lifted_angles(ellipse21):
     lifted = ellipse21.jet(psi + 20 * math.pi)
     assert lifted.h == pytest.approx(base.h, abs=1e-12)
     assert lifted.dh == pytest.approx(base.dh, abs=1e-12)
+
+
+@pytest.mark.parametrize("spec", [
+    ellipse_support(2.0, 1.0),
+    FourierTable(1.0, (0.0, 0.1), (0.0, 0.03)),
+    table_from_profile(AngleProfile(((2, 0.1, 0.0), (6, 0.02, 0.0))), 1.0),
+], ids=["ellipse", "fourier", "profile"])
+@pytest.mark.parametrize("psi", [0.7, np.linspace(0.0, 7.0, 5)],
+                         ids=["float", "array"])
+def test_jet_is_a_jet2(spec, psi):
+    # every table kind builds its jet without Jet2's generated __new__; it
+    # is still the NamedTuple, with its fields, properties and repr
+    jet = spec.jet(psi)
+    assert type(jet) is Jet2
+    assert jet._fields == ("h", "dh", "ddh")
+    assert list(jet._asdict().items()) == [("h", jet.h), ("dh", jet.dh),
+                                           ("ddh", jet.ddh)]
+    assert np.array_equal(jet.rho, jet.h + jet.ddh)
+    assert np.array_equal(jet.curvature, 1.0 / (jet.h + jet.ddh))
+    assert repr(jet).startswith("Jet2(h=")
