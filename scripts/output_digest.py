@@ -6,8 +6,12 @@ The package is imported from `DIR`, by default the `src/` of the checkout
 that holds this script, so one version of the script can digest two trees
 (say, `git archive` exports of a parent commit and of a change).
 For each table of the benchmark (`perfbench/workloads.py`), and for one
-Fourier table after them, it prints eight digests:
+Fourier table after them, it prints nine digests:
 
+- `starts`: the raw `psi`, `delta`, `p` and `phi` bytes of the 256
+  `scan_starts` at seeds 42 and 7, the start lines of `beam-scan`; the
+  `maps` stream sees only the seed-42 `p` and `phi`, and only through
+  the steps it takes from them.
 - `maps`: the `p`/`phi` bytes of 200 cold `forward_map_batch` steps from
   the 256 seed-42 `scan_starts`, then `jacobian_check_batch` on 1000
   `random_interior_lines` (seed 100 for the first table, 101 for the next,
@@ -62,6 +66,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import TABLE_SPECS  # noqa: E402
 
 STARTS, STEPS, SCAN_SEED = 256, 200, 42
+START_SEEDS = (42, 7)
 LINES, LINE_SEED = 1000, 100
 INTEGRAL_N = (64, 1024, 4096, 65536)
 ORBIT_ARGS = ("--psi0", "0.3", "--delta0", "0.7", "--steps", "500")
@@ -72,6 +77,17 @@ PONCELET_STARTS = 64
 TABLES = {**TABLE_SPECS,
           "fourier": {"type": "fourier", "c0": 1.0,
                       "cos": [0.0, 0.1, 0.0, 0.02], "sin": [0.0, 0.03]}}
+
+
+def starts_digest(spec) -> str:
+    from billiards.fourperiodic import table_profile
+    from billiards.sampling import scan_starts
+
+    digest = hashlib.sha256()
+    for seed in START_SEEDS:
+        for array in scan_starts(spec, table_profile(spec), STARTS, seed):
+            digest.update(array.tobytes())
+    return digest.hexdigest()
 
 
 def maps_digest(spec, line_seed: int) -> str:
@@ -143,6 +159,7 @@ def main(argv=None) -> int:
             path = Path(tmp) / f"{name}.json"
             path.write_text(json.dumps(data), encoding="utf-8")
             spec = table_from_dict(data)
+            print(f"{name:10s} starts    {starts_digest(spec)}")
             print(f"{name:10s} maps      {maps_digest(spec, LINE_SEED + i)}")
             integral = cli_digest(*(["integral", str(path), "--n", str(n)]
                                     for n in INTEGRAL_N))

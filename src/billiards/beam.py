@@ -240,7 +240,8 @@ class _WarmStart:
             self.flat = self.flat[live]
 
 
-def conjugate_scan(spec: SupportSpec, p0, phi0, max_steps: int):
+def conjugate_scan(spec: SupportSpec, p0, phi0, max_steps: int,
+                   guess=None):
     """First step at which a pushed vertical vector crosses vertical again.
 
     Pushes (dp, dphi) = (1, 0) along the orbit of each start line; a sign
@@ -253,7 +254,12 @@ def conjugate_scan(spec: SupportSpec, p0, phi0, max_steps: int):
     array: the crossing step per start, -1 when none within max_steps.
     A float start runs as a one-entry array.
 
-    Each solve is warm-started from the start's angle increments
+    guess, of p0's shape, is a start for each first image's phi, as in
+    forward_map_batch: phi0 + 2 delta0 for a start line leaving its
+    boundary point at angle delta0 (delta conserved).  Without it the
+    first solve starts at the bracket midpoint.
+
+    Each later solve is warm-started from the start's angle increments
     D_n = phi_{n+1} - phi_n, which are quasi-periodic on an invariant
     curve.  Up to its RING-th increment the guess extends the recurrence
     D_{n+1} + D_{n-1} = c D_n + e fitted by least squares to the last
@@ -273,11 +279,15 @@ def conjugate_scan(spec: SupportSpec, p0, phi0, max_steps: int):
     """
     one = np.ndim(phi0) == 0
     p, phi = np.atleast_1d(np.asarray(p0, float), np.asarray(phi0, float))
+    if guess is not None:
+        if np.shape(guess) != np.shape(p0):
+            raise ValueError(f"guess of shape {np.shape(guess)} for starts "
+                             f"of shape {np.shape(p0)}")
+        guess = np.atleast_1d(np.asarray(guess, float))
     dp = np.ones_like(p)
     dphi = np.zeros_like(p)
     prev_sign = dphi
     detected = np.full(p.shape, -1)
-    guess = None
     warm = _WarmStart(len(p))
     for step in range(1, max_steps + 1):
         p1, phi1, sd = forward_map_batch(spec, p, phi, guess)

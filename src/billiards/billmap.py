@@ -260,10 +260,13 @@ def inverse_map(spec: SupportSpec, line: LineCoord) -> LineCoord:
 
 def chart_to_line(spec: SupportSpec, bc: BoundaryCoord) -> LineCoord:
     """Line outgoing from gamma(psi) at angle delta: p = h cos + h' sin,
-    phi = psi + delta.  p is the bounce's p1, base + swing from
+    phi = psi + delta, on floats (0-d arrays included) or entrywise on
+    arrays of one shape.  p is the bounce's p1, base + swing from
     _incoming's parts as in _bounce, without the S-derivatives."""
-    psi, delta = float(bc.psi), float(bc.delta)
-    _, _, (_, _, base, swing) = _incoming(spec.jet(psi), delta, math)
+    psi, delta = bc
+    if np.ndim(psi) == 0:
+        psi, delta = float(psi), float(delta)
+    _, _, (_, _, base, swing) = _incoming(spec.jet(psi), delta, _xp(psi))
     return LineCoord(base + swing, psi + delta)
 
 

@@ -12,8 +12,11 @@ representation.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
+import stat
 import sys
 
 import numpy as np
@@ -68,6 +71,28 @@ def _usage(args) -> None:
     for name in ("steps", "starts", "max_steps"):
         if getattr(args, name, 0) < 0:
             raise UsageError(f"{name} must be nonnegative")
+    if getattr(args, "out", None):
+        _check_out(args.out)
+
+
+def _unwritable(path, exc: OSError) -> UsageError:
+    return UsageError(f"cannot write {path}: {exc.strerror or exc}")
+
+
+def _check_out(path) -> None:
+    """Refuse, before any work and without creating a file, an --out that
+    open would refuse for its path alone: a parent that is missing or not
+    a directory, or a directory (a trailing separator names one).  The
+    reason is open's.  Any other refusal, such as a permission, comes from
+    _emit."""
+    parent = os.path.dirname(path.rstrip(os.sep)) or "."
+    try:
+        if not stat.S_ISDIR(os.stat(parent).st_mode):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+        if path.endswith(os.sep) or os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+    except OSError as exc:
+        raise _unwritable(path, exc) from exc
 
 
 def _emit(text: str, out_path) -> None:
@@ -75,8 +100,7 @@ def _emit(text: str, out_path) -> None:
         try:
             f = open(out_path, "w", encoding="utf-8", newline="")
         except OSError as exc:
-            raise UsageError(f"cannot write {out_path}: "
-                             f"{exc.strerror or exc}") from exc
+            raise _unwritable(out_path, exc) from exc
         with f:
             f.write(text)
     else:
@@ -280,9 +304,9 @@ def cmd_integral(args) -> int:
 def cmd_beam_scan(args) -> int:
     spec = _load(args.spec)
     validate_table(spec)
-    _, _, p, phi = scan_starts(spec, table_profile(spec), args.starts,
-                               args.seed)
-    detected = conjugate_scan(spec, p, phi, args.max_steps)
+    _, delta, p, phi = scan_starts(spec, table_profile(spec), args.starts,
+                                   args.seed)
+    detected = conjugate_scan(spec, p, phi, args.max_steps, phi + 2.0 * delta)
     detections = [{"start_index": int(i), "step": int(step)}
                   for i, step in enumerate(detected) if step >= 0]
     _emit_report(spec, {"starts": args.starts, "max_steps": args.max_steps,

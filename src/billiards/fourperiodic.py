@@ -27,7 +27,8 @@ import numpy as np
 from .beam import BeamState
 from .billmap import BoundaryCoord, chart_to_line, oracle_orbit
 from .profiles import (AngleProfile, EllipseProfile, Profile, _xp,
-                       ellipse_profile, profile_from_modes, validate_profile)
+                       d_by_entry, ellipse_profile, profile_from_modes,
+                       validate_profile)
 from .supportfn import EllipseTable, ProfileTable, SupportSpec
 
 __all__ = [
@@ -90,9 +91,7 @@ def verify_parallelogram(spec: SupportSpec, profile, psi,
     """
     xp = _xp(psi)
     if xp is np:
-        # the float jet per start: EllipseProfile's math.acos and
-        # np.arccos differ in the last bit, and a float launch takes acos
-        delta = np.array([profile.jet(s)[0] for s in psi.tolist()])
+        delta = d_by_entry(profile, psi)
     else:
         psi, delta = float(psi), float(profile.jet(psi)[0])
     psis, deltas, momenta, points = zip(

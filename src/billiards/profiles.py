@@ -147,6 +147,13 @@ def ellipse_profile(a: float, b: float) -> EllipseProfile:
     return EllipseProfile(float(a), float(b))
 
 
+def d_by_entry(profile, psi: np.ndarray) -> np.ndarray:
+    """d(psi) of each entry of a 1-d array from the float jet, so an array
+    of starts gets the bits of its one-start floats: EllipseProfile's
+    math.acos and np.arccos differ in the last bit on some entries."""
+    return np.array([profile.jet(s)[0] for s in psi.tolist()], dtype=float)
+
+
 def validate_profile(profile) -> float:
     """Check 0 < d(psi) < pi/2 on 1024 points; return min(d, pi/2 - d).
 

@@ -23,6 +23,7 @@ import math
 import numpy as np
 
 from .billmap import BoundaryCoord, chart_to_line
+from .profiles import d_by_entry
 from .supportfn import SupportSpec
 
 _MASK = (1 << 64) - 1
@@ -62,28 +63,19 @@ class SplitMix64:
 def scan_starts(spec: SupportSpec, profile, n: int, seed: int):
     """n seeded start lines inside the region below the invariant curve.
 
-    Per start, in stream order: u1 then u2; psi = 2 pi u1; the delta cap is
-    d(psi) when a profile is attached, pi/4 otherwise; delta fills the cap
-    as cap * (1e-6 + (1 - 2e-6) u2), keeping clear of the grazing floor.
+    Per start, in stream order: u1 then u2, all drawn first; then as
+    arrays, psi = 2 pi u1; the delta cap is d(psi) when a profile is
+    attached (each entry from the float jet, d_by_entry), pi/4 otherwise;
+    delta fills the cap as cap * (1e-6 + (1 - 2e-6) u2), keeping clear of
+    the grazing floor; (p, phi) is the line chart_to_line gives.
     Returns (psi, delta, p, phi) arrays.
     """
-    draws = SplitMix64(seed).floats(2 * n).tolist()
-    psis = np.empty(n)
-    deltas = np.empty(n)
-    ps = np.empty(n)
-    phis = np.empty(n)
-    for i in range(n):
-        u1 = draws[2 * i]
-        u2 = draws[2 * i + 1]
-        psi = 2.0 * math.pi * u1
-        cap = profile.jet(psi)[0] if profile is not None else math.pi / 4
-        delta = cap * (1e-6 + (1.0 - 2e-6) * u2)
-        line = chart_to_line(spec, BoundaryCoord(psi, delta))
-        psis[i] = psi
-        deltas[i] = delta
-        ps[i] = line.p
-        phis[i] = line.phi
-    return psis, deltas, ps, phis
+    u1, u2 = SplitMix64(seed).floats(2 * n).reshape(n, 2).T
+    psi = 2.0 * math.pi * u1
+    cap = math.pi / 4 if profile is None else d_by_entry(profile, psi)
+    delta = cap * (1e-6 + (1.0 - 2e-6) * u2)
+    p, phi = chart_to_line(spec, BoundaryCoord(psi, delta))
+    return psi, delta, p, phi
 
 
 def random_interior_lines(spec: SupportSpec, n: int, seed: int):

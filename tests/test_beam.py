@@ -244,8 +244,9 @@ def test_detect_conjugate_found_on_mode6_table(mode6_table, mode6_profile):
     assert step == detections[idx]
 
 
-def _recorded_scan(monkeypatch, spec, p, phi, max_steps):
-    # the scan's detections and the (phi, guess) of each of its steps
+def _recorded_scan(monkeypatch, spec, p, phi, max_steps, first=None):
+    # the scan's detections and the (phi, guess) of each of its steps;
+    # first is the scan's guess for its first images
     record = []
 
     def recording(spec, p, phi, guess=None):
@@ -253,7 +254,7 @@ def _recorded_scan(monkeypatch, spec, p, phi, max_steps):
         return forward_map_batch(spec, p, phi, guess)
 
     monkeypatch.setattr("billiards.beam.forward_map_batch", recording)
-    return conjugate_scan(spec, p, phi, max_steps), record
+    return conjugate_scan(spec, p, phi, max_steps, first), record
 
 
 def test_conjugate_scan_entries_equal_float_scans(mode6_table, mode6_profile,
@@ -285,6 +286,84 @@ def test_conjugate_scan_entries_equal_float_scans(mode6_table, mode6_profile,
                 assert guess_s is None and guess_b is None
             else:
                 assert guess_s.tobytes() == guess_b[pos:pos + 1].tobytes()
+
+
+def test_conjugate_scan_warm_first_solve_entries_equal_float_scans(
+        mode6_table, mode6_profile, monkeypatch):
+    # with a first guess too, every entry keeps the bits of its own float
+    # scan: the guess enters the first solve entry by entry
+    _, delta, p, phi = scan_starts(mode6_table, mode6_profile, 64, seed=9)
+    first = phi + 2.0 * delta
+    max_steps = 200
+    detections, record = _recorded_scan(monkeypatch, mode6_table, p, phi,
+                                        max_steps, first)
+    assert np.any(detections >= 0) and np.any(detections < 0)
+    assert record[0][1].tobytes() == first.tobytes()
+    ends = np.where(detections < 0, max_steps, detections)
+    for i in range(64):
+        single, own = _recorded_scan(monkeypatch, mode6_table, float(p[i]),
+                                     float(phi[i]), max_steps,
+                                     float(first[i]))
+        assert single == detections[i]
+        assert len(own) == ends[i]
+        for step, (phi_s, guess_s) in enumerate(own):
+            pos = int(np.sum(ends[:i] > step))
+            phi_b, guess_b = record[step]
+            assert phi_s.tobytes() == phi_b[pos:pos + 1].tobytes()
+            assert guess_s.tobytes() == guess_b[pos:pos + 1].tobytes()
+
+
+def _table_and_profile(request, table):
+    spec = request.getfixturevalue(table)
+    return spec, table_profile(spec)
+
+
+@pytest.mark.parametrize("table", ["circle", "ellipse21", "profile_a_table",
+                                   "mode6_table"])
+def test_conjugate_scan_warm_first_solve_keeps_detections(table, request):
+    # beam-scan's first guess, phi + 2 delta, moves the first solve's
+    # start only: the scan detects at the same steps as a cold one
+    spec, profile = _table_and_profile(request, table)
+    _, delta, p, phi = scan_starts(spec, profile, 256, seed=42)
+    cold = conjugate_scan(spec, p, phi, 100)
+    warm = conjugate_scan(spec, p, phi, 100, phi + 2.0 * delta)
+    assert np.array_equal(warm, cold)
+    # the integrable tables detect nothing, the profile tables something
+    assert np.any(cold >= 0) == (table not in ("circle", "ellipse21"))
+
+
+@pytest.mark.parametrize("table, bound", [
+    ("circle", 2), ("ellipse21", 9), ("profile_a_table", 6),
+    ("mode6_table", 10),
+])
+def test_conjugate_scan_warm_first_solve_saves_jets(table, bound, request,
+                                                    monkeypatch):
+    # table jet calls of one scan step from the 256 seed-42 starts: 16
+    # from the bracket midpoint on every table, 2 / 9 / 6 / 10 from
+    # phi + 2 delta (one of them is the jet of the solved bounce)
+    spec, profile = _table_and_profile(request, table)
+    _, delta, p, phi = scan_starts(spec, profile, 256, seed=42)
+    calls = [0]
+    jet = type(spec).jet
+
+    def counted(self, psi):
+        calls[0] += 1
+        return jet(self, psi)
+
+    monkeypatch.setattr(type(spec), "jet", counted)
+    conjugate_scan(spec, p, phi, 1)
+    assert calls[0] == 16
+    calls[0] = 0
+    conjugate_scan(spec, p, phi, 1, phi + 2.0 * delta)
+    assert calls[0] <= bound
+
+
+def test_conjugate_scan_guess_shape_must_match(ellipse21, ellipse21_profile):
+    _, delta, p, phi = scan_starts(ellipse21, ellipse21_profile, 4, seed=1)
+    for p0, phi0, guess in ((p, phi, phi[:3]), (p, phi, float(phi[0])),
+                            (float(p[0]), float(phi[0]), phi[:1])):
+        with pytest.raises(ValueError, match="guess of shape"):
+            conjugate_scan(ellipse21, p0, phi0, 5, guess)
 
 
 def _harmonic_increments(amps, steps=RING + 1, starts=8, omega=0.7):

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import math
@@ -412,6 +413,51 @@ def test_unwritable_out_is_usage_error(ellipse_spec, tmp_path, capsys, argv,
     assert errors == [captured.err.splitlines()[-1]]
     assert errors[0].startswith(f"error: cannot write {out}: ")
     assert not (tmp_path / "missing").exists()
+
+
+def test_unwritable_out_is_refused_before_the_scan(ellipse_spec, tmp_path,
+                                                   capsys, monkeypatch):
+    # the --out target is checked with the options: a 10000-step scan is
+    # never started for a report that cannot be written
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return np.full(0, -1)
+
+    monkeypatch.setattr(cli, "conjugate_scan", counted)
+    out = tmp_path / "missing" / "x.json"
+    assert main(["beam-scan", ellipse_spec, "--max-steps", "10000",
+                 "--out", str(out)]) == 2
+    assert calls[0] == 0
+    assert capsys.readouterr().err == (
+        f"error: cannot write {out}: {os.strerror(errno.ENOENT)}\n")
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("target, code", [
+    ("missing/x.json", errno.ENOENT), (".", errno.EISDIR),
+    ("file/x.json", errno.ENOTDIR), ("new/", errno.EISDIR),
+    ("file/", errno.EISDIR), ("missing/new/", errno.ENOENT),
+], ids=["missing-directory", "directory", "file-as-directory",
+        "new-directory-name", "file-as-directory-name",
+        "missing-directory-name"])
+def test_unwritable_out_prints_no_check_notes(ellipse_spec, tmp_path, capsys,
+                                              target, code):
+    # integral's PASS lines would follow a chain that was never written:
+    # the error, open's own reason for the path, is all it prints
+    (tmp_path / "file").write_text("kept")
+    out = os.path.join(tmp_path, target)    # a Path drops a trailing "/"
+    with pytest.raises(OSError) as opened:
+        open(out, "w")
+    assert opened.value.errno == code
+    assert main(["integral", ellipse_spec, "--n", "64",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: cannot write {out}: {opened.value.strerror}\n")
+    assert (tmp_path / "file").read_text() == "kept"
 
 
 def test_verify_byte_determinism(ellipse_spec, tmp_path):
