@@ -50,23 +50,36 @@ def _reduce(psi):
 def _series_jet(const, modes, psi):
     """(f, f', f'') of f = const + sum of a cos n psi + b sin n psi over
     the (n, a, b) in modes, term by term: the one body behind a profile's
-    d and a Fourier table's h."""
+    d and a Fourier table's h.
+
+    A mode with no sine amplitude evaluates only its cosine half.  The
+    bits are those of the general per-mode formula started from
+    0.0 * psi, because the dropped terms are exact zeros, the sums never
+    hold -0.0, and x - y is x + (-y).
+    """
     xp = _xp(psi)
     cos, sin = xp.cos, xp.sin
     psi = _reduce(psi)
-    zero = 0.0 * psi
+    # a scalar start; with no mode to broadcast, 0.0 * psi gives psi's shape
+    zero = 0.0 if modes else 0.0 * psi
     f = const + zero
     df = zero
     ddf = zero
     for n, a, b in modes:
         arg = n * psi
-        c = cos(arg)
-        s = sin(arg)
-        ac = a * c
-        bs = b * s
-        f = f + ac + bs
-        df = df + n * (b * c - a * s)
-        ddf = ddf - n * n * (ac + bs)
+        if b == 0.0:
+            ac = a * cos(arg)
+            f = f + ac
+            df = df - n * (a * sin(arg))
+            ddf = ddf - n * n * ac
+        else:
+            c = cos(arg)
+            s = sin(arg)
+            ac = a * c
+            bs = b * s
+            f = f + ac + bs
+            df = df + n * (b * c - a * s)
+            ddf = ddf - n * n * (ac + bs)
     return f, df, ddf
 
 
@@ -148,9 +161,13 @@ def ellipse_profile(a: float, b: float) -> EllipseProfile:
 
 
 def d_by_entry(profile, psi: np.ndarray) -> np.ndarray:
-    """d(psi) of each entry of a 1-d array from the float jet, so an array
-    of starts gets the bits of its one-start floats: EllipseProfile's
-    math.acos and np.arccos differ in the last bit on some entries."""
+    """d(psi) of a 1-d array with the bits of the float jet at each entry,
+    so an array of starts gets the bits of its one-start floats.  An
+    AngleProfile takes one array jet: np.cos and np.sin agree with
+    math.cos and math.sin.  EllipseProfile goes entry by entry, because
+    its np.arccos and math.acos differ in the last bit on some entries."""
+    if isinstance(profile, AngleProfile):
+        return profile.jet(psi)[0]
     return np.array([profile.jet(s)[0] for s in psi.tolist()], dtype=float)
 
 
