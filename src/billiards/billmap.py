@@ -15,9 +15,12 @@ partials of S once, from a jet of h; every map, chart and derivative
 below is a layer over it.  Its first part, _incoming (p and the twist
 S12), is all the forward map's solver needs, and forward_map_batch hands
 back the whole record of the bounce it solved, so a step costs no jet
-beyond its solve; the chart map reads p1 from _incoming's parts.  The
-inverse map is the forward map of the reversed line: reversing
-orientation, (p, phi) -> (-p, phi + pi), turns the bounce (L0 -> L1) into
+beyond its solve; the chart map reads p1 from _incoming's parts.
+s_derivatives_grid is the grid form of s_derivatives: on a grid of lines
+(psi - delta, psi + delta) it takes the jet once per psi and again only
+where the midpoint of the two angles rounds off psi.  The inverse map
+is the forward map of the reversed line: reversing orientation,
+(p, phi) -> (-p, phi + pi), turns the bounce (L0 -> L1) into
 (reversed L1 -> reversed L0).
 
 Angles live on the universal cover: phi and psi are carried as plain
@@ -115,6 +118,29 @@ def s_derivatives(spec: SupportSpec, phi, phi1) -> SDerivatives:
     """Second partials (S11, S12, S22) of S; see _bounce."""
     delta, xp = _check_separation(phi, phi1)
     return _bounce(spec.jet(0.5 * (phi + phi1)), delta, xp)[2]
+
+
+def s_derivatives_grid(spec: SupportSpec, psi, delta) -> SDerivatives:
+    """s_derivatives(spec, psi - delta, psi + delta) bit for bit, for arrays
+    psi and delta that broadcast to a grid of lines.  The jet of h is taken
+    once at psi and again only on the lines whose rounded midpoint
+    0.5 (phi + phi1) differs from psi in some bit; the jet is entrywise, so
+    every entry keeps the bits of a jet at its own midpoint."""
+    phi, phi1 = psi - delta, psi + delta
+    half, xp = _check_separation(phi, phi1)
+    mid = 0.5 * (phi + phi1)
+    # bitwise, so a midpoint -0.0 against a psi 0.0 counts as moved
+    moved = mid.view(np.int64) != np.broadcast_to(psi, mid.shape).view(
+        np.int64)
+    mid = mid[moved]
+    # drop the grid-sized angles before the bounce makes its own: each
+    # array of a 128 x 128 grid is 32 fresh pages, and page faults cost
+    # this check more than its arithmetic
+    del phi, phi1
+    jet = [np.broadcast_to(f, moved.shape).copy() for f in spec.jet(psi)]
+    for f, exact in zip(jet, spec.jet(mid)):
+        f[moved] = exact
+    return _bounce(jet, half, xp)[2]
 
 
 def p_of(spec: SupportSpec, phi, phi1):

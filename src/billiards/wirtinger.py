@@ -98,26 +98,29 @@ def _exact_parts(values: np.ndarray) -> list:
     """Floats whose exact sum is that of values, so that math.fsum of the
     parts of any blocks of an array gives the bits of math.fsum over it.
 
-    Error-free extraction (Rump, Ogita & Oishi 2008): with |r| <= m < 2^e
+    Error-free extraction (Rump, Ogita & Oishi 2008): with |r| <= 2^e
     and 2^k >= n + 2, each level splits r into q = (sigma + r) - sigma,
     sigma = 2^(e + k), a multiple of 2^-53 sigma with |q| <= 2^e that
-    np.sum adds exactly, and the exact r - q.  The few entries left are
-    parts themselves.  Non-finite and near-overflow input is its own parts,
-    so fsum meets its non-finite and huge items in the array's order."""
+    np.sum adds exactly, and the exact r - q.  The first e bounds the
+    largest |value|; as |r - q| <= 2^-53 sigma, each later level takes
+    sigma' = 2^(k - 53) sigma.  The few entries left are parts themselves.
+    Non-finite and near-overflow input is its own parts, so fsum meets its
+    non-finite and huge items in the array's order."""
     n = values.shape[0]
-    m = float(np.max(np.abs(values), initial=0.0))
-    if not m < 2.0**900:
+    top = float(values.max(initial=0.0))
+    bottom = float(values.min(initial=0.0))
+    if not (top < 2.0**900 and -bottom < 2.0**900):
         return values.tolist()
     k, r, parts = (n + 1).bit_length(), values, []
+    sigma = math.ldexp(1.0, math.frexp(max(top, -bottom))[1] + k)
     while True:
-        sigma = math.ldexp(1.0, math.frexp(m)[1] + k)
         q = (sigma + r) - sigma
         parts.append(float(np.sum(q)))
         r = r - q
         left = r != 0.0
         if 16 * np.count_nonzero(left) <= n:    # fsum finishes the few left
             return parts + r[left].tolist()
-        m = float(np.max(np.abs(r)))
+        sigma = math.ldexp(sigma, k - 53)
 
 
 def spectral_derivative(samples: PeriodicSamples, order: int) -> PeriodicSamples:

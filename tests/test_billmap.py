@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import billiards
 from billiards.billmap import (BoundaryCoord, LineCoord, boundary_point,
@@ -12,11 +14,14 @@ from billiards.billmap import (BoundaryCoord, LineCoord, boundary_point,
                                forward_map, forward_map_batch, generating_S,
                                geometric_reflect, half_turn, inverse_map,
                                jacobian_check_batch, line_to_chart,
-                               oracle_orbit, p_of, s_derivatives)
+                               oracle_orbit, p_of, s_derivatives,
+                               s_derivatives_grid)
 from billiards.errors import GrazingRay, OutsideCylinder, SolverError
 from billiards.fourperiodic import table_profile
-from billiards.profiles import ellipse_profile
-from billiards.sampling import SplitMix64, random_interior_lines
+from billiards.profiles import AngleProfile, ellipse_profile
+from billiards.sampling import SplitMix64, random_interior_lines, scan_starts
+from billiards.supportfn import (EllipseTable, FourierTable, ProfileTable,
+                                 table_from_profile)
 
 
 def caustic_line(a, b, lam, phi):
@@ -214,6 +219,53 @@ def test_forward_map_batch_returns_bounce_record(spec_name, request):
         assert sd_i == s_derivatives(spec, float(phi[i]), phi1_i)
         assert sd_i == tuple(float(x[i]) for x in sd)
         assert (p1_i, phi1_i) == (p1[i], phi1[i])
+
+
+# --- one table in two representations -------------------------------------------
+
+
+def _ellipse_both_ways(a, b):
+    # the closed-form ellipse and h = R sin d from its 4-periodic profile
+    return (EllipseTable(a, b),
+            table_from_profile(ellipse_profile(a, b), math.hypot(a, b)))
+
+
+def _one_step_gap(first, second, p, phi):
+    p1, phi1, _ = forward_map_batch(first, p, phi)
+    q1, psi1, _ = forward_map_batch(second, p, phi)
+    return float(np.max(np.abs(p1 - q1))), float(np.max(np.abs(phi1 - psi1)))
+
+
+def test_ellipse_as_profile_table_steps_alike(ellipse21_profile):
+    # measured over the 256 seed-42 starts: 3.5e-13 in p, 4.7e-13 in phi
+    ellipse, profiled = _ellipse_both_ways(2.0, 1.0)
+    _, _, p, phi = scan_starts(ellipse, ellipse21_profile, 256, seed=42)
+    gap_p, gap_phi = _one_step_gap(ellipse, profiled, p, phi)
+    assert gap_p <= 1e-11 and gap_phi <= 1e-11
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(0.5, 4.0), st.floats(0.2, 1.0), st.integers(0, 2**32 - 1))
+def test_random_ellipse_as_profile_table_steps_alike(a, ratio, seed):
+    # measured at most 6e-14 over 30 draws and the corners of the box
+    ellipse, profiled = _ellipse_both_ways(a, a * ratio)
+    p, phi = random_interior_lines(ellipse, 16, seed)
+    gap_p, gap_phi = _one_step_gap(ellipse, profiled, p, phi)
+    assert gap_p <= 1e-11 and gap_phi <= 1e-11
+
+
+def test_circle_steps_alike_in_three_representations():
+    # an ellipse, a Fourier series and the empty profile: h = 1 and
+    # h' = h'' = 0 to the bit, so the step and its S-derivatives agree
+    # bit for bit
+    ellipse = EllipseTable(1.0, 1.0)
+    p, phi = random_interior_lines(ellipse, 256, 3)
+    want = forward_map_batch(ellipse, p, phi)
+    for other in (FourierTable(1.0), ProfileTable(AngleProfile(()),
+                                                  math.sqrt(2.0))):
+        got = forward_map_batch(other, p, phi)
+        assert [v.tobytes() for v in (got[0], got[1], *got[2])] == \
+            [v.tobytes() for v in (want[0], want[1], *want[2])]
 
 
 # --- boundary chart and oracle ---------------------------------------------------
@@ -454,6 +506,49 @@ def test_twist_positive_on_grid(ellipse21, mode6_table):
         psis, deltas = np.meshgrid(psi, delta)
         sd = s_derivatives(spec, psis - deltas, psis + deltas)
         assert np.min(sd.s12) > 0.0
+
+
+def _grid_axes(grid):
+    # verify's twist grid: psi varies along each row, delta down each column
+    psi = np.linspace(0.0, 2 * math.pi, grid, endpoint=False)
+    delta = (np.arange(grid) + 1.0) * math.pi / (grid + 1)
+    return psi, delta[:, None]
+
+
+def _assert_grid_form_bits(spec, psi, delta):
+    psis, deltas = np.broadcast_arrays(psi, delta)
+    want = s_derivatives(spec, psis - deltas, psis + deltas)
+    got = s_derivatives_grid(spec, psi, delta)
+    for field, w, g in zip(want._fields, want, got):
+        assert g.shape == w.shape, field
+        assert g.tobytes() == w.tobytes(), field
+
+
+@pytest.mark.parametrize("grid", [64, 128])
+@pytest.mark.parametrize("table", ["circle", "ellipse21", "profile_a_table",
+                                   "mode6_table", "fourier"])
+def test_s_derivatives_grid_is_s_derivatives_bit_for_bit(table, grid,
+                                                         request):
+    # the whole grid as raw bytes, not only the twist check's minimum: on
+    # the (2,1) ellipse, profile-a and mode-6, a jet at psi in place of
+    # the rounded midpoint changes thousands of entries but not the minimum
+    spec = (FourierTable(1.0, (0.0, 0.1, 0.0, 0.02), (0.0, 0.03))
+            if table == "fourier" else request.getfixturevalue(table))
+    _assert_grid_form_bits(spec, *_grid_axes(grid))
+
+
+def test_s_derivatives_grid_non_square_broadcast(mode6_table):
+    # lifted angles on a 24 x 40 grid, psi as a column this time
+    rng = np.random.default_rng(7)
+    psi = rng.uniform(-40.0, 40.0, (24, 1))
+    delta = rng.uniform(0.01, math.pi - 0.01, 40)
+    _assert_grid_form_bits(mode6_table, psi, delta)
+
+
+def test_s_derivatives_grid_checks_separation(ellipse21):
+    psi, delta = _grid_axes(64)
+    with pytest.raises(ValueError, match="outside"):
+        s_derivatives_grid(ellipse21, psi, delta + math.pi)
 
 
 def test_half_turn():

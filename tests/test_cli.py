@@ -322,6 +322,26 @@ def test_verify_all_ellipse(ellipse_spec, tmp_path):
     assert report["seed"] == 42
 
 
+@pytest.mark.parametrize("table", ["circle", "ellipse21", "profile_a_table",
+                                   "mode6_table"])
+def test_verify_twist_jet_points(table, request, monkeypatch):
+    # points passed to the table's jet by one twist check at grid 128: one
+    # jet per psi (128) and one per line whose rounded midpoint moves off
+    # its psi (2786), against one per line (16384) on the whole grid
+    spec = request.getfixturevalue(table)
+    points = [0]
+    jet = type(spec).jet
+
+    def counted(self, psi):
+        points[0] += np.size(psi)
+        return jet(self, psi)
+
+    monkeypatch.setattr(type(spec), "jet", counted)
+    check = cli._check_twist(spec, None, 128, 0.0, 42)
+    assert check["pass"] and check["grid"] == 128
+    assert points[0] <= 128 + 2786
+
+
 def test_verify_poncelet_mode6(mode6_spec, tmp_path):
     out = tmp_path / "report.json"
     assert main(["verify", mode6_spec, "--suite", "poncelet",

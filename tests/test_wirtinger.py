@@ -157,6 +157,14 @@ def sparse_array(seed):
     return values
 
 
+def ladder_array():
+    # one value per 30 binades from 2^-1000 to 2^890, alternating in sign:
+    # each extraction level takes about 46 bits of it, so about forty
+    # levels run before few enough entries are left
+    return (np.ldexp(1.0 + np.arange(64) / 64.0, np.arange(-1000, 900, 30))
+            * np.resize([1.0, -1.0], 64))
+
+
 def ties_array(seed):
     rng = np.random.default_rng(seed)
     return rng.choice(np.array(TIES), 65536) * rng.choice((1.0, -1.0), 65536)
@@ -177,7 +185,8 @@ def sum_examples(*cuts):
     def apply(test):
         for values in (np.random.default_rng(0).standard_normal(65536),
                        wide_array(1), cancelling_array(2), sparse_array(3),
-                       ties_array(4), np.full(65536, -0.0), np.zeros(0),
+                       ties_array(4), ladder_array(), np.full(65536, -0.0),
+                       np.zeros(0),
                        *FALLBACKS):
             test = example(values, *cuts)(test)
         return test
