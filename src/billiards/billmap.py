@@ -18,10 +18,20 @@ back the whole record of the bounce it solved, so a step costs no jet
 beyond its solve; the chart map reads p1 from _incoming's parts.
 s_derivatives_grid is the grid form of s_derivatives: on a grid of lines
 (psi - delta, psi + delta) it takes the jet once per psi and again only
-where the midpoint of the two angles rounds off psi.  The inverse map
-is the forward map of the reversed line: reversing orientation,
-(p, phi) -> (-p, phi + pi), turns the bounce (L0 -> L1) into
-(reversed L1 -> reversed L0).
+where the midpoint of the two angles rounds off psi; twist_grid is its
+S12 alone, through _incoming's S12 term.  The inverse map is the forward
+map of the reversed line: reversing orientation, (p, phi) -> (-p,
+phi + pi), turns the bounce (L0 -> L1) into (reversed L1 -> reversed L0).
+
+Both the map and the oracle solve their implicit equation with one
+safeguarded Newton iteration, _solve_increasing, on floats or entrywise
+on arrays.  The residual takes its entrywise operands as arguments, so an
+array solve of at least COMPACT_SIZE entries can drop its frozen entries:
+once at least half of the entries it carries are done, it writes their
+roots out and iterates on the live ones alone.  Each step of an entry
+reads only that entry's values, so every entry keeps its bits whatever
+else is in its batch, and a float solve is still one entry of an array
+solve.
 
 Angles live on the universal cover: phi and psi are carried as plain
 floats and reduced mod 2pi only at evaluation of h, so rotation numbers
@@ -84,17 +94,24 @@ def generating_S(spec: SupportSpec, phi, phi1):
     return 2.0 * spec.jet(psi).h * xp.sin(delta)
 
 
+def _twist(jet, s):
+    """S12 = (h''+h)/2 sin delta = rho/2 sin delta > 0, from the jet of h at
+    psi and s = sin delta."""
+    h, _, ddh = jet
+    return 0.5 * (ddh + h) * s
+
+
 def _incoming(jet, delta, xp):
     """The part of the bounce the map's solver needs, from the jet of h at
     psi: (p, S12, parts), with p = h cos delta - h' sin delta the incoming
-    momentum, S12 = (h''+h)/2 sin delta = rho/2 sin delta > 0 (twist), and
-    parts the terms _bounce goes on from."""
-    h, dh, ddh = jet
+    momentum, S12 the twist (_twist), and parts the terms _bounce goes on
+    from."""
+    h, dh, _ = jet
     s = xp.sin(delta)
     c = xp.cos(delta)
     base = h * c
     swing = dh * s
-    return base - swing, 0.5 * (ddh + h) * s, (s, c, base, swing)
+    return base - swing, _twist(jet, s), (s, c, base, swing)
 
 
 def _bounce(jet, delta, xp):
@@ -120,11 +137,12 @@ def s_derivatives(spec: SupportSpec, phi, phi1) -> SDerivatives:
     return _bounce(spec.jet(0.5 * (phi + phi1)), delta, xp)[2]
 
 
-def s_derivatives_grid(spec: SupportSpec, psi, delta) -> SDerivatives:
-    """s_derivatives(spec, psi - delta, psi + delta) bit for bit, for arrays
-    psi and delta that broadcast to a grid of lines.  The jet of h is taken
-    once at psi and again only on the lines whose rounded midpoint
-    0.5 (phi + phi1) differs from psi in some bit; the jet is entrywise, so
+def _grid_jet(spec: SupportSpec, psi, delta):
+    """(jet, half, xp) for the grid of lines (psi - delta, psi + delta),
+    arrays psi and delta that broadcast to the grid: the jet of h at each
+    line's rounded midpoint 0.5 (phi + phi1) and the half-separation of
+    _check_separation.  The jet is taken once at psi and again only on the
+    lines whose midpoint differs from psi in some bit; it is entrywise, so
     every entry keeps the bits of a jet at its own midpoint."""
     phi, phi1 = psi - delta, psi + delta
     half, xp = _check_separation(phi, phi1)
@@ -135,12 +153,25 @@ def s_derivatives_grid(spec: SupportSpec, psi, delta) -> SDerivatives:
     mid = mid[moved]
     # drop the grid-sized angles before the bounce makes its own: each
     # array of a 128 x 128 grid is 32 fresh pages, and page faults cost
-    # this check more than its arithmetic
+    # the twist check more than its arithmetic
     del phi, phi1
     jet = [np.broadcast_to(f, moved.shape).copy() for f in spec.jet(psi)]
     for f, exact in zip(jet, spec.jet(mid)):
         f[moved] = exact
-    return _bounce(jet, half, xp)[2]
+    return jet, half, xp
+
+
+def s_derivatives_grid(spec: SupportSpec, psi, delta) -> SDerivatives:
+    """s_derivatives(spec, psi - delta, psi + delta) bit for bit, for arrays
+    psi and delta that broadcast to a grid of lines, from _grid_jet."""
+    return _bounce(*_grid_jet(spec, psi, delta))[2]
+
+
+def twist_grid(spec: SupportSpec, psi, delta):
+    """s_derivatives_grid(spec, psi, delta).s12 bit for bit, the twist
+    alone: _incoming's S12 term, without the rest of the bounce record."""
+    jet, half, xp = _grid_jet(spec, psi, delta)
+    return _twist(jet, xp.sin(half))
 
 
 def p_of(spec: SupportSpec, phi, phi1):
@@ -184,6 +215,16 @@ def half_turn(line: LineCoord) -> LineCoord:
 # Entries freeze at the floor, so a float solve is bit for bit one entry of
 # the array solve.  Near invariant curves delta barely moves from bounce to
 # bounce, so a warm start (`guess`) sits a few Newton steps from the root.
+# An array of at least COMPACT_SIZE entries compacts its batch: once at
+# least half of the entries still carried are frozen, their final x goes
+# to the output and the iteration goes on with the live entries alone,
+# their bracket, tolerance, last residual and the residual's entrywise
+# operands.  Every step acts entry by entry, so a live entry takes the
+# same steps, with the same bits, in a batch of any composition.  Smaller
+# batches (the 256-start scan steps, the 64-start Poncelet launch) carry
+# their frozen entries along: there the copies cost about as much as the
+# residual evaluations they save (compacting on every freeze slowed
+# 256-start scans 1.15-1.37x).
 
 
 _EPS = float(np.finfo(float).eps)
@@ -191,10 +232,14 @@ _EPS = float(np.finfo(float).eps)
 # residual cannot be driven below ~ slope * ulp(x): the floor is
 # _FLOOR (1 + |x|) |slope|
 _FLOOR = 32.0 * _EPS
+COMPACT_SIZE = 1024        # smallest array solve that drops frozen entries
 
 
-def _solve_increasing(fdf, lo, hi, scale, guess=None):
-    """Root of f, increasing on [lo, hi], where fdf(x) = (f(x), f'(x)).
+def _solve_increasing(fdf, lo, hi, scale, guess=None, operands=()):
+    """Root of f, increasing on [lo, hi], where fdf(x, operands) =
+    (f(x), f'(x)) and operands is a tuple of entrywise arrays (or floats)
+    that broadcast to x; a compacted solve passes the live entries of x
+    and of each operand.
 
     Starts at guess (the midpoint when absent or outside the bracket); an
     entry is done once |f| <= RESIDUAL_TOL (1 + scale) plus the floor,
@@ -207,8 +252,24 @@ def _solve_increasing(fdf, lo, hi, scale, guess=None):
     tol = RESIDUAL_TOL * (1.0 + scale)
     frozen = False
     last = math.inf
+    compact = xp is np and x.size >= COMPACT_SIZE
+    out = None      # once compacted, the output; flat[index] holds the live x
     for _ in range(MAX_ITERATIONS):
-        fx, slope = fdf(x)
+        if compact and 2 * np.count_nonzero(frozen) >= x.size:
+            keep = ~frozen
+            if out is None:
+                out = x
+                flat = out.reshape(-1)
+                index = np.flatnonzero(keep)
+            else:
+                flat[index[frozen]] = x[frozen]
+                index = index[keep]
+            x, lo, hi, tol, last, *operands = (
+                np.broadcast_to(a, keep.shape)[keep]
+                for a in (x, lo, hi, tol, last, *operands))
+            operands = tuple(operands)
+            frozen = False
+        fx, slope = fdf(x, operands)
         res = abs(fx)
         met = res <= tol + _FLOOR * (1.0 + abs(x)) * abs(slope)
         step = x - fx / slope
@@ -221,7 +282,10 @@ def _solve_increasing(fdf, lo, hi, scale, guess=None):
         x = xp.where(frozen, x, xp.where(newton, step, 0.5 * (lo + hi)))
         frozen = frozen | met
         if xp.all(frozen):
-            return x
+            if out is None:
+                return x
+            flat[index] = x
+            return out
         last = res
     raise SolverError(f"no root within {MAX_ITERATIONS} iterations, residual "
                       f"{xp.max(xp.where(frozen, 0.0, res)):.3g}")
@@ -256,7 +320,8 @@ def forward_map_batch(spec: SupportSpec, p, phi, guess=None):
     """
     xp = _xp(phi)
 
-    def fdf(phi1):
+    def fdf(phi1, operands):
+        p, phi = operands
         p_in, s12, _ = _incoming(spec.jet(0.5 * (phi + phi1)),
                                  0.5 * (phi1 - phi), xp)
         return p - p_in, s12
@@ -267,7 +332,7 @@ def forward_map_batch(spec: SupportSpec, p, phi, guess=None):
     # floor) and surfaces as SolverError
     lo = phi + 2.0 * DELTA_MIN
     hi = phi + 2.0 * math.pi - 2.0 * DELTA_MIN
-    phi1 = _solve_increasing(fdf, lo, hi, xp.abs(p), guess)
+    phi1 = _solve_increasing(fdf, lo, hi, xp.abs(p), guess, (p, phi))
     _, p1, sd = _bounce(spec.jet(0.5 * (phi + phi1)), 0.5 * (phi1 - phi), xp)
     return p1, phi1, sd
 
@@ -324,6 +389,18 @@ def oracle_orbit(spec: SupportSpec, psi, delta):
     start's psi + delta."""
     xp = _xp(psi + delta)
     kept = None
+
+    def fdf(psi1, operands):
+        nonlocal kept
+        ex, ey, x0, y0, angle = operands
+        jet = spec.jet(psi1)
+        x1, y1 = point = _gamma(jet, psi1, xp)
+        kept = psi1, jet, point
+        h, _, ddh = jet
+        # gamma'(psi1) = rho(psi1) t(psi1)
+        return (ex * (y1 - y0) - ey * (x1 - x0),
+                (h + ddh) * xp.sin(psi1 - angle))
+
     while True:
         if not xp.all((delta >= DELTA_MIN) & (delta <= math.pi - DELTA_MIN)):
             raise GrazingRay(f"delta = {delta} outside "
@@ -331,8 +408,10 @@ def oracle_orbit(spec: SupportSpec, psi, delta):
         # the jet and gamma depend on psi only through _reduce(psi), so an
         # evaluation at an equal psi1 has their bits: +0.0 and -0.0 reduce
         # to +0.0 before any trig, and NaN, equal to nothing, is evaluated
-        # afresh; an array reuses only when every entry is equal
-        if kept is not None and xp.all(kept[0] == psi):
+        # afresh; an array reuses only when the last evaluation covered
+        # every entry (a compacted solve's did not) and each is equal
+        if kept is not None and xp.shape(kept[0]) == xp.shape(psi) \
+                and xp.all(kept[0] == psi):
             _, jet, point = kept
         else:
             jet = spec.jet(psi)
@@ -344,19 +423,9 @@ def oracle_orbit(spec: SupportSpec, psi, delta):
         reduced = _reduce(angle)
         ex = -xp.sin(reduced)
         ey = xp.cos(reduced)
-
-        def fdf(psi1):
-            nonlocal kept
-            jet = spec.jet(psi1)
-            x1, y1 = point = _gamma(jet, psi1, xp)
-            kept = psi1, jet, point
-            h, _, ddh = jet
-            # gamma'(psi1) = rho(psi1) t(psi1)
-            return (ex * (y1 - y0) - ey * (x1 - x0),
-                    (h + ddh) * xp.sin(psi1 - angle))
-
         psi = _solve_increasing(fdf, angle, angle + math.pi,
-                                1.0 + xp.hypot(x0, y0), angle + delta)
+                                1.0 + xp.hypot(x0, y0), angle + delta,
+                                (ex, ey, x0, y0, angle))
         delta = psi - angle
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .beam import conjugate_scan
 from .billmap import DELTA_MIN, jacobian_check_batch, oracle_orbit, \
-    s_derivatives_grid
+    twist_grid
 from .errors import BilliardError, CurvatureViolation, GrazingRay, SpecError
 from .fourperiodic import table_profile, verify_d_h_relations, verify_orthoptic, \
     verify_parallelogram
@@ -216,7 +216,7 @@ def _check_twist(spec, profile, grid, tol, seed):
     grid = min(grid, 128)
     psi = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
     delta = (np.arange(grid) + 1.0) * math.pi / (grid + 1)
-    s12 = s_derivatives_grid(spec, psi, delta[:, None]).s12
+    s12 = twist_grid(spec, psi, delta[:, None])
     min_s12 = float(np.min(s12))
     return _check("twist", grid, max(0.0, -min_s12), 0.0,
                   passed=min_s12 > 0.0, min_s12=min_s12)

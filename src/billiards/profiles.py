@@ -33,7 +33,7 @@ vars(_FLOATS).update(
     sin=math.sin, cos=math.cos, sqrt=math.sqrt, arccos=math.acos,
     hypot=math.hypot, abs=abs, maximum=max,
     where=lambda cond, a, b: a if cond else b,
-    all=bool, min=lambda x: x, max=lambda x: x)
+    all=bool, min=lambda x: x, max=lambda x: x, shape=lambda x: ())
 
 
 def _xp(x):

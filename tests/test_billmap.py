@@ -15,7 +15,8 @@ from billiards.billmap import (BoundaryCoord, LineCoord, boundary_point,
                                geometric_reflect, half_turn, inverse_map,
                                jacobian_check_batch, line_to_chart,
                                oracle_orbit, p_of, s_derivatives,
-                               s_derivatives_grid)
+                               s_derivatives_grid, twist_grid)
+from billiards import billmap
 from billiards.errors import GrazingRay, OutsideCylinder, SolverError
 from billiards.fourperiodic import table_profile
 from billiards.profiles import AngleProfile, ellipse_profile
@@ -372,6 +373,111 @@ def test_forward_map_batch_off_cylinder_entry_raises(ellipse21):
         forward_map_batch(ellipse21, 3.0, float(phi[5]))
 
 
+_BENCHMARK_TABLES = ["circle", "ellipse21", "profile_a_table", "mode6_table"]
+
+
+def _jet_sizes(spec, monkeypatch):
+    """The sizes of the point arrays passed to the table class's jet."""
+    sizes = []
+    jet = type(spec).jet
+
+    def counted(self, psi):
+        sizes.append(np.size(psi))
+        return jet(self, psi)
+
+    monkeypatch.setattr(type(spec), "jet", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("table", _BENCHMARK_TABLES)
+def test_compacted_solve_keeps_every_entry_bits(table, warm, request,
+                                                monkeypatch):
+    # a 4096-entry solve drops its frozen entries; its 16 slices of 256
+    # stay below the floor and carry them along, so both give every entry
+    # the steps, and the bits, of its own solve
+    assert 256 < billmap.COMPACT_SIZE <= 4096
+    spec = request.getfixturevalue(table)
+    p, phi = random_interior_lines(spec, 4096, 23)
+    guess = None
+    if warm:
+        # near the root, at the midpoint-to-root scale, and outside the
+        # bracket (taken as absent), so the entries freeze at many steps
+        rng = np.random.default_rng(5)
+        cold = forward_map_batch(spec, p, phi)[1]
+        guess = cold + rng.choice([0.0, 1e-9, 1e-4, 1e-2, 10.0], 4096) \
+            * rng.uniform(-1.0, 1.0, 4096)
+    sizes = _jet_sizes(spec, monkeypatch)
+    whole = forward_map_batch(spec, p, phi, guess)
+    assert min(sizes) < 4096          # the solve compacted
+    sizes.clear()
+    parts = [forward_map_batch(spec, p[i:i + 256], phi[i:i + 256],
+                               None if guess is None else guess[i:i + 256])
+             for i in range(0, 4096, 256)]
+    assert set(sizes) == {256}        # the slices did not
+    for k, field in enumerate(("p1", "phi1")):
+        got = np.concatenate([part[k] for part in parts])
+        assert got.tobytes() == whole[k].tobytes(), field
+    for k, field in enumerate(whole[2]._fields):
+        got = np.concatenate([part[2][k] for part in parts])
+        assert got.tobytes() == whole[2][k].tobytes(), field
+
+
+@pytest.mark.parametrize("table", _BENCHMARK_TABLES)
+def test_compacted_jacobian_check_keeps_every_entry_bits(table, request,
+                                                         monkeypatch):
+    # verify's symplectic check: 1000 lines, 4000 stacked stencil solves
+    spec = request.getfixturevalue(table)
+    p, phi = random_interior_lines(spec, 1000, 1)
+    sizes = _jet_sizes(spec, monkeypatch)
+    whole = jacobian_check_batch(spec, p, phi)
+    assert min(sizes) < 4000
+    sizes.clear()
+    parts = [jacobian_check_batch(spec, p[i:i + 250], phi[i:i + 250])
+             for i in range(0, 1000, 250)]
+    assert set(sizes) == {1000}
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("table", _BENCHMARK_TABLES[1:])
+def test_compacted_oracle_keeps_every_entry_bits(table, request,
+                                                 monkeypatch):
+    # the oracle's chord solves compact too (on the circle every entry
+    # freezes at once); a vertex reuses the last chord evaluation only
+    # when it covered every entry
+    spec = request.getfixturevalue(table)
+    psi = np.linspace(0.0, 2 * math.pi, 4096, endpoint=False)
+    delta = 0.2 + np.linspace(0.0, 2.6, 4096) ** 2 / 2.6
+
+    def vertices(psi, delta):
+        return [np.concatenate([psi, delta, p1, *point]) for psi, delta, p1,
+                point in islice(oracle_orbit(spec, psi, delta), 4)]
+
+    sizes = _jet_sizes(spec, monkeypatch)
+    whole = vertices(psi, delta)
+    assert min(sizes) < 4096
+    parts = [vertices(psi[i:i + 256], delta[i:i + 256])
+             for i in range(0, 4096, 256)]
+    for k, vertex in enumerate(whole):
+        got = np.concatenate([part[k].reshape(5, 256) for part in parts],
+                             axis=1)
+        assert got.tobytes() == vertex.tobytes(), k
+
+
+def test_compacted_solve_off_cylinder_entry_raises(ellipse21, monkeypatch):
+    # the entry that never freezes outlives every compaction
+    p, phi = random_interior_lines(ellipse21, 4096, 3)
+    p[2049] = 3.0
+    with pytest.raises(SolverError) as alone:
+        forward_map_batch(ellipse21, 3.0, float(phi[2049]))
+    sizes = _jet_sizes(ellipse21, monkeypatch)
+    with pytest.raises(SolverError) as among:
+        forward_map_batch(ellipse21, p, phi)
+    assert len(sizes) == billmap.MAX_ITERATIONS and sizes[-1] == 1
+    # the same residual: the message reads the live entries alone
+    assert str(among.value) == str(alone.value)
+
+
 # seed-42 scan start 149 on the mode-6 table after 42 cold steps: plain
 # Newton alternated between phi1 - phi = 0.52 and 1.97, both steps inside
 # the bracket, and stalled at residual 0.173; the true image is at 1.218
@@ -522,6 +628,10 @@ def _assert_grid_form_bits(spec, psi, delta):
     for field, w, g in zip(want._fields, want, got):
         assert g.shape == w.shape, field
         assert g.tobytes() == w.tobytes(), field
+    # the twist check's form, S12 alone
+    twist = twist_grid(spec, psi, delta)
+    assert twist.shape == want.s12.shape
+    assert twist.tobytes() == want.s12.tobytes()
 
 
 @pytest.mark.parametrize("grid", [64, 128])
@@ -561,7 +671,7 @@ def test_half_turn():
 
 # the oracle's and the bounce record's internals, private to billmap
 _BILLMAP_INTERNALS = {"_incoming", "_bounce", "_gamma", "_reflect",
-                      "_chart_line"}
+                      "_chart_line", "_twist", "_grid_jet"}
 
 
 @pytest.mark.parametrize("module", ["cli", "fourperiodic", "sampling", "beam",

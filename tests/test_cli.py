@@ -322,13 +322,8 @@ def test_verify_all_ellipse(ellipse_spec, tmp_path):
     assert report["seed"] == 42
 
 
-@pytest.mark.parametrize("table", ["circle", "ellipse21", "profile_a_table",
-                                   "mode6_table"])
-def test_verify_twist_jet_points(table, request, monkeypatch):
-    # points passed to the table's jet by one twist check at grid 128: one
-    # jet per psi (128) and one per line whose rounded midpoint moves off
-    # its psi (2786), against one per line (16384) on the whole grid
-    spec = request.getfixturevalue(table)
+def _jet_points(spec, monkeypatch):
+    """A one-entry counter of the points passed to the table class's jet."""
     points = [0]
     jet = type(spec).jet
 
@@ -337,9 +332,35 @@ def test_verify_twist_jet_points(table, request, monkeypatch):
         return jet(self, psi)
 
     monkeypatch.setattr(type(spec), "jet", counted)
+    return points
+
+
+@pytest.mark.parametrize("table", ["circle", "ellipse21", "profile_a_table",
+                                   "mode6_table"])
+def test_verify_twist_jet_points(table, request, monkeypatch):
+    # points passed to the table's jet by one twist check at grid 128: one
+    # jet per psi (128) and one per line whose rounded midpoint moves off
+    # its psi (2786), against one per line (16384) on the whole grid
+    spec = request.getfixturevalue(table)
+    points = _jet_points(spec, monkeypatch)
     check = cli._check_twist(spec, None, 128, 0.0, 42)
     assert check["pass"] and check["grid"] == 128
     assert points[0] <= 128 + 2786
+
+
+@pytest.mark.parametrize("table, bound", [
+    ("circle", 27000), ("ellipse21", 31000), ("profile_a_table", 27100),
+    ("mode6_table", 32200)])
+def test_verify_symplectic_jet_points(table, bound, request, monkeypatch):
+    # points passed to the table's jet by one symplectic check at seed 1:
+    # the interior-line draws, the 4000-entry stencil solve and its final
+    # bounce.  The solve drops frozen entries once half of its batch is
+    # frozen; carrying them along passed 30000 / 46000 / 34000 / 46000
+    spec = request.getfixturevalue(table)
+    points = _jet_points(spec, monkeypatch)
+    check = cli._check_symplectic(spec, None, 1024, 1e-8, 1)
+    assert check["pass"] and check["grid"] == 1000
+    assert points[0] <= bound
 
 
 def test_verify_poncelet_mode6(mode6_spec, tmp_path):
