@@ -16,12 +16,12 @@ below is a layer over it.  Its first part, _incoming (p and the twist
 S12), is all the forward map's solver needs, and forward_map_batch hands
 back the whole record of the bounce it solved, so a step costs no jet
 beyond its solve; the chart map reads p1 from _incoming's parts.
-s_derivatives_grid is the grid form of s_derivatives: on a grid of lines
-(psi - delta, psi + delta) it takes the jet once per psi and again only
-where the midpoint of the two angles rounds off psi; twist_grid is its
-S12 alone, through _incoming's S12 term.  The inverse map is the forward
-map of the reversed line: reversing orientation, (p, phi) -> (-p,
-phi + pi), turns the bounce (L0 -> L1) into (reversed L1 -> reversed L0).
+twist_grid is the S12 of s_derivatives on a grid of lines (psi - delta,
+psi + delta), through _incoming's S12 term: it takes the jet once per psi
+and again only where the midpoint of the two angles rounds off psi.  The
+inverse map is the forward map of the reversed line: reversing
+orientation, (p, phi) -> (-p, phi + pi), turns the bounce (L0 -> L1) into
+(reversed L1 -> reversed L0).
 
 Both the map and the oracle solve their implicit equation with one
 safeguarded Newton iteration, _solve_increasing, on floats or entrywise
@@ -137,11 +137,11 @@ def s_derivatives(spec: SupportSpec, phi, phi1) -> SDerivatives:
     return _bounce(spec.jet(0.5 * (phi + phi1)), delta, xp)[2]
 
 
-def _grid_jet(spec: SupportSpec, psi, delta):
-    """(jet, half, xp) for the grid of lines (psi - delta, psi + delta),
-    arrays psi and delta that broadcast to the grid: the jet of h at each
-    line's rounded midpoint 0.5 (phi + phi1) and the half-separation of
-    _check_separation.  The jet is taken once at psi and again only on the
+def twist_grid(spec: SupportSpec, psi, delta):
+    """s_derivatives(spec, psi - delta, psi + delta).s12 bit for bit, for
+    arrays psi and delta that broadcast to a grid of lines: the twist
+    alone, _twist at each line's rounded midpoint 0.5 (phi + phi1) and
+    half-separation.  The jet is taken once at psi and again only on the
     lines whose midpoint differs from psi in some bit; it is entrywise, so
     every entry keeps the bits of a jet at its own midpoint."""
     phi, phi1 = psi - delta, psi + delta
@@ -151,26 +151,13 @@ def _grid_jet(spec: SupportSpec, psi, delta):
     moved = mid.view(np.int64) != np.broadcast_to(psi, mid.shape).view(
         np.int64)
     mid = mid[moved]
-    # drop the grid-sized angles before the bounce makes its own: each
+    # drop the grid-sized angles before the twist makes its own: each
     # array of a 128 x 128 grid is 32 fresh pages, and page faults cost
     # the twist check more than its arithmetic
     del phi, phi1
     jet = [np.broadcast_to(f, moved.shape).copy() for f in spec.jet(psi)]
     for f, exact in zip(jet, spec.jet(mid)):
         f[moved] = exact
-    return jet, half, xp
-
-
-def s_derivatives_grid(spec: SupportSpec, psi, delta) -> SDerivatives:
-    """s_derivatives(spec, psi - delta, psi + delta) bit for bit, for arrays
-    psi and delta that broadcast to a grid of lines, from _grid_jet."""
-    return _bounce(*_grid_jet(spec, psi, delta))[2]
-
-
-def twist_grid(spec: SupportSpec, psi, delta):
-    """s_derivatives_grid(spec, psi, delta).s12 bit for bit, the twist
-    alone: _incoming's S12 term, without the rest of the bounce record."""
-    jet, half, xp = _grid_jet(spec, psi, delta)
     return _twist(jet, xp.sin(half))
 
 
@@ -222,9 +209,11 @@ def half_turn(line: LineCoord) -> LineCoord:
 # operands.  Every step acts entry by entry, so a live entry takes the
 # same steps, with the same bits, in a batch of any composition.  Smaller
 # batches (the 256-start scan steps, the 64-start Poncelet launch) carry
-# their frozen entries along: there the copies cost about as much as the
-# residual evaluations they save (compacting on every freeze slowed
-# 256-start scans 1.15-1.37x).
+# their frozen entries along: there the copies cost more than the residual
+# evaluations they save.  With this rule at every size, the mode-6
+# 256-start scan took 1.14x its time (scan-mode6 scan_s_p50 0.0534 ->
+# 0.0611 s, 4 of 4 paired runs), the ellipse's 1.06x, and the 64-start
+# Poncelet check 1.2-1.4x.
 
 
 _EPS = float(np.finfo(float).eps)
@@ -258,7 +247,10 @@ def _solve_increasing(fdf, lo, hi, scale, guess=None, operands=()):
         if compact and 2 * np.count_nonzero(frozen) >= x.size:
             keep = ~frozen
             if out is None:
-                out = x
+                # C order, so flat is a view whose indices are keep's
+                # (x follows its inputs' order, and an F-ordered x's
+                # reshape would be a copy that drops every write)
+                out = np.ascontiguousarray(x)
                 flat = out.reshape(-1)
                 index = np.flatnonzero(keep)
             else:

@@ -15,7 +15,7 @@ from billiards.billmap import (BoundaryCoord, LineCoord, boundary_point,
                                geometric_reflect, half_turn, inverse_map,
                                jacobian_check_batch, line_to_chart,
                                oracle_orbit, p_of, s_derivatives,
-                               s_derivatives_grid, twist_grid)
+                               twist_grid)
 from billiards import billmap
 from billiards.errors import GrazingRay, OutsideCylinder, SolverError
 from billiards.fourperiodic import table_profile
@@ -410,6 +410,13 @@ def test_compacted_solve_keeps_every_entry_bits(table, warm, request,
     sizes = _jet_sizes(spec, monkeypatch)
     whole = forward_map_batch(spec, p, phi, guess)
     assert min(sizes) < 4096          # the solve compacted
+    # a transposed 64 x 64 grid: F-ordered operands give an F-ordered x,
+    # and the compacted output must still take every entry's root
+    grid = [a.reshape(64, 64).T for a in (p, phi)]
+    grid = forward_map_batch(spec, *grid, None if guess is None
+                             else guess.reshape(64, 64).T)
+    for k, field in enumerate(("p1", "phi1")):
+        assert grid[k].T.tobytes() == whole[k].tobytes(), field
     sizes.clear()
     parts = [forward_map_batch(spec, p[i:i + 256], phi[i:i + 256],
                                None if guess is None else guess[i:i + 256])
@@ -622,16 +629,12 @@ def _grid_axes(grid):
 
 
 def _assert_grid_form_bits(spec, psi, delta):
+    # the twist check's grid form of the S-derivatives, S12 alone
     psis, deltas = np.broadcast_arrays(psi, delta)
-    want = s_derivatives(spec, psis - deltas, psis + deltas)
-    got = s_derivatives_grid(spec, psi, delta)
-    for field, w, g in zip(want._fields, want, got):
-        assert g.shape == w.shape, field
-        assert g.tobytes() == w.tobytes(), field
-    # the twist check's form, S12 alone
+    want = s_derivatives(spec, psis - deltas, psis + deltas).s12
     twist = twist_grid(spec, psi, delta)
-    assert twist.shape == want.s12.shape
-    assert twist.tobytes() == want.s12.tobytes()
+    assert twist.shape == want.shape
+    assert twist.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("grid", [64, 128])
@@ -658,7 +661,7 @@ def test_s_derivatives_grid_non_square_broadcast(mode6_table):
 def test_s_derivatives_grid_checks_separation(ellipse21):
     psi, delta = _grid_axes(64)
     with pytest.raises(ValueError, match="outside"):
-        s_derivatives_grid(ellipse21, psi, delta + math.pi)
+        twist_grid(ellipse21, psi, delta + math.pi)
 
 
 def test_half_turn():
@@ -671,7 +674,7 @@ def test_half_turn():
 
 # the oracle's and the bounce record's internals, private to billmap
 _BILLMAP_INTERNALS = {"_incoming", "_bounce", "_gamma", "_reflect",
-                      "_chart_line", "_twist", "_grid_jet"}
+                      "_chart_line", "_twist"}
 
 
 @pytest.mark.parametrize("module", ["cli", "fourperiodic", "sampling", "beam",
