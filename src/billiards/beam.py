@@ -14,21 +14,26 @@ breakdown, not an invariant object; conjugate_scan reports the first
 verticality crossing of a pushed vertical vector instead, which needs no
 bundle at all.
 
-The scan's cost is the map's implicit solve, one per start and step.  It
-is warm-started by linear prediction of each start's angle increments: on
-an invariant curve, the foliation the paper assumes below the 4-periodic
-curve, they are quasi-periodic and satisfy a linear recurrence with
-constant coefficients, refitted every REFIT steps (see WINDOW below).
+The scan's cost is the map's implicit solve: one per start and step for
+its first RING steps, then one Newton solve of BLOCK_STEPS bounces at
+once, on the discrete Euler-Lagrange equations of S (see _block_step).
+Both are warm-started by linear prediction of each start's angle
+increments: on an invariant curve, the foliation the paper assumes below
+the 4-periodic curve, they are quasi-periodic and satisfy a linear
+recurrence with constant coefficients, refitted every REFIT steps (see
+WINDOW below).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .billmap import (LineCoord, SDerivatives, _check_inside, forward_map,
+from .billmap import (_FLOOR, DELTA_MIN, RESIDUAL_TOL, LineCoord,
+                      SDerivatives, _check_inside, bounce, forward_map,
                       forward_map_batch, s_derivatives)
 from .errors import MonotonicityBreak
 from .supportfn import SupportSpec
@@ -93,11 +98,13 @@ def monotone_bounds(spec: SupportSpec, prev: LineCoord, cur: LineCoord,
 # j < K, with constant coefficients (linear prediction, as in Prony's method).
 # Until a start has RING increments it fits K = 1, c = 2 cos omega, to the
 # last WINDOW of them (running sums, updated each step).  Once it has RING,
-# and every REFIT steps after that, it fits K = 3 and K = 1 to the last RING
-# and keeps one predictor row over its last 6 increments: K = 3 where
-# its residual is below PREFER times the K = 1 residual.  When the
-# increments barely vary (the circle's are constant) the coefficients are
-# undetermined and the guess is 2 phi1 - phi (delta conserved).
+# and every REFIT steps after that (at the end of the block that reaches
+# the step), it fits K = 3 and K = 1 to the last RING and keeps one
+# predictor row over its last 6 increments: K = 3 where its residual is
+# below PREFER times the K = 1 residual.  A block's guesses roll the row
+# over its own predictions.  When the increments barely vary (the
+# circle's are constant) the coefficients are undetermined and the guess
+# is 2 phi1 - phi (delta conserved).
 WINDOW = 9          # increments per running fit, so WINDOW - 2 triples
 FLAT = 1e-12        # squared spread of D_n over its square that counts as
                     # flat: the variance for the running fit, the range for
@@ -106,6 +113,11 @@ RING = 25           # increments per refit
 REFIT = 64          # steps between refits
 PREFER = 0.3        # rms residual ratio below which K = 3 is used
 RIDGE = 1e-13       # diagonal load of a refit, relative to its trace
+BLOCK_STEPS = 6     # bounces per block solve after the first RING steps
+BLOCK_ROUNDS = 8    # Newton rounds before a block entry falls back
+BLOCK_HALVINGS = 8  # halvings of a block update that leaves the floor
+SPAN = 0.1          # margin of a rolled increment beyond the range of the
+                    # last RING, relative to that range
 
 
 def _slide(sums, incs):
@@ -213,11 +225,14 @@ class _WarmStart:
         self.sums = (np.zeros(n),) * 4      # Sx, Sy, Sxx, Sxy, until RING
         self.row = self.const = self.flat = None
 
-    def next(self, phi, phi1):
-        """The guess for the image of phi1, whose preimage is phi."""
+    def _add(self, inc):
         self.steps += 1
         self.head = (self.head + 1) % RING
-        self.ring[self.head] = self.ring[self.head + RING] = phi1 - phi
+        self.ring[self.head] = self.ring[self.head + RING] = inc
+
+    def next(self, phi, phi1):
+        """The guess for the image of phi1, whose preimage is phi."""
+        self._add(phi1 - phi)
         if self.steps < RING:
             incs = self.ring[:self.steps]
             self.sums = _slide(self.sums, incs)
@@ -231,6 +246,45 @@ class _WarmStart:
             self.row * self.ring[top - len(self.row):top]))
         return np.where(self.flat, 2.0 * phi1 - phi, guess)
 
+    def record(self, incs):
+        """Add the increments of a block step (rows, oldest first), from
+        step RING on, and refit at the block end that reaches a REFIT
+        step."""
+        before = self.steps
+        for inc in incs:
+            self._add(inc)
+        if (self.steps - RING) // REFIT > (before - RING) // REFIT:
+            top = self.head + RING + 1
+            self.row, self.const, self.flat = _fit(self.ring[top - RING:top])
+
+    def roll(self, phi, k):
+        """Guesses (k, starts) for the next k lines after phi, from step
+        RING on: the fitted row extends the increments by its own
+        predictions, each clipped to the range of the last RING increments
+        widened by SPAN of it on either side.  On an invariant curve the
+        increments stay in their range; rolled over k steps, a row fitted
+        to a chaotic orbit can run away.  A flat window (or none fitted)
+        repeats its last increment, and so does a start with a clipped
+        increment outside (2 DELTA_MIN, 2 (pi - DELTA_MIN)), which no
+        bounce has."""
+        top = self.head + RING + 1
+        last = self.ring[top - 1]
+        incs = np.broadcast_to(last, (k, len(phi)))
+        if self.row is not None:
+            window = list(self.ring[top - 6:top])
+            for _ in range(k):
+                window.append(self.const + _total(
+                    r * d for r, d in zip(self.row, window[-6:])))
+            recent = self.ring[top - RING:top]
+            hi, lo = recent.max(axis=0), recent.min(axis=0)
+            margin = SPAN * (hi - lo)
+            fitted = np.clip(np.array(window[6:]), lo - margin, hi + margin)
+            keep = ~self.flat & ((2.0 * DELTA_MIN < fitted)
+                                 & (fitted < 2.0 * (math.pi - DELTA_MIN))
+                                 ).all(axis=0)
+            incs = np.where(keep, fitted, last)
+        return phi + np.cumsum(incs, axis=0)
+
     def keep(self, live):
         """Drop the starts where live is False."""
         self.ring = self.ring[:, live]
@@ -238,6 +292,134 @@ class _WarmStart:
         if self.row is not None:
             self.row, self.const = self.row[:, live], self.const[live]
             self.flat = self.flat[live]
+
+
+def _block_step(spec: SupportSpec, p, phi, guesses):
+    """The next k lines of the lines (p, phi), solved as one system from
+    guesses, the (k, starts) array of their angles: (p1, phi1, sd), each a
+    (k, starts) array whose row i is the bounce of step i + 1.
+
+    The k bounces u_0 = phi, u_1 .. u_k solve the discrete Euler-Lagrange
+    equations G_0 = p - p_in(u_0, u_1) and
+    G_i = p_out(u_{i-1}, u_i) - p_in(u_i, u_{i+1}) = 0, i < k.  Their
+    Jacobian is lower-banded, dG_i/du_{i+1} = S12_i on the diagonal (the
+    twist, positive) and dG_i/du_i = S22_{i-1} + S11_i,
+    dG_i/du_{i-1} = S12_{i-1} below it, so each Newton round is one jet
+    of all k bounces (billmap.bounce) and a forward substitution.  Each
+    equation is done by _solve_increasing's test,
+    |G_i| <= RESIDUAL_TOL (1 + |p_i|) plus the floor, p_i the momentum of
+    the line it maps; an entry takes its last update once all k are, then
+    freezes, and one more jet at the roots gives p1 and the
+    S-derivatives.  Entries that are done drop out of the rounds.
+
+    The half-separations of the guesses and of every update must lie in
+    (DELTA_MIN, pi - DELTA_MIN), so nothing is evaluated outside it.  An
+    update that leaves it is halved, up to BLOCK_HALVINGS times.  An
+    entry still outside, or not done within BLOCK_ROUNDS rounds, falls
+    back to k float forward_map_batch solves: the first from its rolled
+    guess, the later ones keeping delta.  Every decision is the entry's
+    own, so each entry keeps its bits in a batch of any composition.
+
+    A block costs its slowest entry's rounds, so the round cap and the
+    float solves bound what one stray entry adds to it: most entries are
+    done within 6 rounds, and the few that take more start from guesses
+    far off, which Newton without a bracket closes slowly.
+    """
+    k, n = guesses.shape
+    lines = np.concatenate((phi[None], guesses))   # u_0 .. u_k, per entry
+    fallback = ~_inside(lines)
+    # the iterating entries: columns index of lines, x their iterate (lines
+    # itself while every entry iterates), p0 their start momenta
+    index, x, p0 = np.arange(n), lines, p
+    if fallback.any():
+        index = np.flatnonzero(~fallback)
+        x, p0 = lines[:, index], p[index]
+    for _ in range(BLOCK_ROUNDS):
+        if not index.size:
+            break
+        p_in, p_out, sd = bounce(spec, x[:-1], x[1:])
+        # the momentum of each line a bounce maps
+        line_p = np.concatenate((p0[None], p_out[:-1]))
+        g = line_p - p_in
+        done = (np.abs(g) <= RESIDUAL_TOL * (1.0 + np.abs(line_p))
+                + _FLOOR * (1.0 + np.abs(x[1:])) * np.abs(sd.s12)).all(axis=0)
+        # Newton: forward substitution through the lower-banded Jacobian
+        # for the step -du, S12_i du_i =
+        # G_i - (S22_{i-1} + S11_i) du_{i-1} - S12_{i-1} du_{i-2}
+        du = np.empty_like(g)
+        below = sd.s22[:-1] + sd.s11[1:]
+        for i in range(k):
+            r = g[i]
+            if i >= 1:
+                r = r - below[i - 1] * du[i - 1]
+            if i >= 2:
+                r = r - sd.s12[i - 1] * du[i - 2]
+            np.divide(r, sd.s12[i], out=du[i])
+        x[1:] -= du
+        ok = _inside(x)
+        if not ok.all():
+            # step back by half of the last update, until inside
+            bad = np.flatnonzero(~ok)
+            half = du[:, bad]
+            for _ in range(BLOCK_HALVINGS):
+                half = 0.5 * half
+                x[1:, bad] += half
+                inside = _inside(x[:, bad])
+                ok[bad[inside]] = True
+                bad, half = bad[~inside], half[:, ~inside]
+                if not bad.size:
+                    break
+        stop = done | ~ok
+        if stop.any():
+            if x is not lines:
+                lines[:, index[stop]] = x[:, stop]
+            fallback[index[~ok]] = True
+            left = ~stop
+            index, x, p0 = index[left], x[:, left], p0[left]
+    else:
+        fallback[index] = True
+    if not fallback.any():
+        _, p1, sd = bounce(spec, lines[:-1], lines[1:])
+        return p1, lines[1:], sd
+    roots = lines[1:]
+    p1 = np.empty_like(roots)
+    sd = SDerivatives(*(np.empty_like(roots) for _ in range(3)))
+    solved = np.flatnonzero(~fallback)
+    if solved.size:
+        x = lines[:, solved]
+        _, p1_s, sd_s = bounce(spec, x[:-1], x[1:])
+        for out, part in zip((p1, *sd), (p1_s, *sd_s)):
+            out[:, solved] = part
+    # one entry at a time, as floats: a float solve has the bits of its
+    # entry in an array solve at about a tenth of the cost of a one-entry
+    # array solve, and entries fall back one or two per block
+    for j in np.flatnonzero(fallback):
+        line_p, line_phi = float(p[j]), float(phi[j])
+        guess = float(guesses[0, j])
+        for i in range(k):
+            line_p, phi1, sd_i = forward_map_batch(spec, line_p, line_phi,
+                                                   guess)
+            guess = 2.0 * phi1 - line_phi
+            line_phi = roots[i, j] = phi1
+            for out, part in zip((p1, *sd), (line_p, *sd_i)):
+                out[i, j] = part
+    return p1, roots, sd
+
+
+def _inside(x):
+    """The entries (columns) of x, rows u_0 .. u_k, whose every
+    half-separation (u_{i+1} - u_i) / 2 lies in (DELTA_MIN, pi - DELTA_MIN);
+    NaN fails."""
+    delta = 0.5 * (x[1:] - x[:-1])
+    return ((DELTA_MIN < delta) & (delta < math.pi - DELTA_MIN)).all(axis=0)
+
+
+def _scan_step(phi, guess):
+    """Called by conjugate_scan once per step with the angles of the lines
+    it maps and the guesses their images started from (None for a cold
+    first step), of the starts live at that step; a block step passes its
+    rolled guesses.  Does nothing: it is the seam at which a scan's steps
+    can be watched."""
 
 
 def conjugate_scan(spec: SupportSpec, p0, phi0, max_steps: int,
@@ -259,24 +441,36 @@ def conjugate_scan(spec: SupportSpec, p0, phi0, max_steps: int,
     boundary point at angle delta0 (delta conserved).  Without it the
     first solve starts at the bracket midpoint.
 
-    Each later solve is warm-started from the start's angle increments
-    D_n = phi_{n+1} - phi_n, which are quasi-periodic on an invariant
-    curve.  Up to its RING-th increment the guess extends the recurrence
+    The scan has two phases.  Its first RING steps are one
+    forward_map_batch solve each, warm-started from the start's angle
+    increments D_n = phi_{n+1} - phi_n, which are quasi-periodic on an
+    invariant curve: the guess extends the recurrence
     D_{n+1} + D_{n-1} = c D_n + e fitted by least squares to the last
-    WINDOW increments (running sums, updated each step).  From then on it
-    is the predictor row fitted to the last RING increments at that step
-    and every REFIT steps after it: order 6 (three harmonics) where that
-    fits the window much better than order 2, else order 2.  The row is
-    applied to the last 6 increments of a ring buffer, one product per
-    step.  When the increments barely vary the guess is 2 phi1 - phi
-    (delta conserved).
+    WINDOW increments (running sums, updated each step).  At step RING,
+    and at the block end that reaches every REFIT steps after it, the
+    predictor row is fitted to the last RING increments: order 6 (three
+    harmonics) where that fits the window much better than order 2, else
+    order 2.  When the increments barely vary the guess keeps the last
+    increment (delta conserved).
 
-    Only live starts are stepped: a start that crosses leaves the batch,
-    with its guess and increments, and the scan ends when none is left.
-    Every step works entry by entry, so the result is the same as stepping
-    all starts to the end, a float start gets the step of its array entry,
-    and a start that has crossed can no longer fail the others.
+    After RING steps the scan advances in blocks of BLOCK_STEPS bounces
+    (fewer at the end), one _block_step each: the row, rolled forward over
+    its own predictions, guesses the block's angles, and Newton rounds
+    on the block's Euler-Lagrange equations solve them together.  The
+    block's S-derivatives then push the vector step by step, and a start
+    that crosses inside a block records the step of its first crossing.
+
+    Only live starts are stepped: a start that crosses leaves the batch
+    at the end of its step or block, with its increments and fitted row,
+    and the scan ends when none is left.  Every step works entry by entry,
+    so the result is the same as stepping all starts to the end, a float
+    start gets the step of its array entry, and a start that has crossed
+    can no longer fail the others.
     """
+    for start in (p0, phi0):
+        if np.ndim(start) > 1:
+            raise ValueError(f"starts of shape {np.shape(start)}: need "
+                             "floats or 1-d arrays")
     one = np.ndim(phi0) == 0
     p, phi = np.atleast_1d(np.asarray(p0, float), np.asarray(phi0, float))
     if guess is not None:
@@ -289,28 +483,59 @@ def conjugate_scan(spec: SupportSpec, p0, phi0, max_steps: int,
     prev_sign = dphi
     detected = np.full(p.shape, -1)
     warm = _WarmStart(len(p))
-    for step in range(1, max_steps + 1):
-        p1, phi1, sd = forward_map_batch(spec, p, phi, guess)
-        guess = warm.next(phi, phi1)
-        dp_next, dphi_next = _push(sd, dp, dphi)
-        norm = np.maximum(np.abs(dp_next), np.abs(dphi_next))
-        dp = dp_next / norm
-        dphi = dphi_next / norm
-        p, phi = p1, phi1
-        sign = np.sign(dphi)
-        if step >= 2:
-            crossing = (sign == 0.0) | (sign * prev_sign < 0.0)
-            if np.all(crossing):        # the last live starts
-                detected[detected < 0] = step
-                break
-            if np.any(crossing):
-                # the live starts are the entries still at -1, in order
-                detected[detected < 0] = np.where(crossing, step, -1)
-                live = ~crossing
-                p, phi, dp, dphi, sign, guess = (
-                    a[live] for a in (p, phi, dp, dphi, sign, guess))
-                warm.keep(live)
-        prev_sign = sign
+    step = 0
+    while step < max_steps and p.size:
+        if step < RING:
+            p1, phi1, sd = forward_map_batch(spec, p, phi, guess)
+            _scan_step(phi, guess)
+            guess = warm.next(phi, phi1)
+            p1, phi1, sds = (p1,), (phi1,), (sd,)
+        else:
+            guesses = warm.roll(phi, min(BLOCK_STEPS, max_steps - step))
+            p1, phi1, sd = _block_step(spec, p, phi, guesses)
+            mapped = np.concatenate((phi[None], phi1[:-1]))
+            warm.record(phi1 - mapped)
+            sds = [SDerivatives(*row) for row in zip(*sd)]
+        first = None        # the step of each start's first crossing, or -1
+        for i, sd in enumerate(sds):
+            dp, dphi = _push(sd, dp, dphi)
+            norm = np.maximum(np.abs(dp), np.abs(dphi))
+            dp = dp / norm
+            dphi = dphi / norm
+            sign = np.sign(dphi)
+            if step + i >= 1:
+                crossing = (sign == 0.0) | (sign * prev_sign < 0.0)
+                if crossing.any():
+                    at = step + i + 1
+                    first = np.where(crossing, at, -1) if first is None \
+                        else np.where((first < 0) & crossing, at, first)
+            prev_sign = sign
+        if step >= RING:
+            for i, (phi_i, guess_i) in enumerate(zip(mapped, guesses)):
+                if first is None:
+                    _scan_step(phi_i, guess_i)
+                else:
+                    # the starts not crossed before this step
+                    live = (first < 0) | (first > step + i)
+                    if not live.any():
+                        break
+                    _scan_step(phi_i[live], guess_i[live])
+        step += len(sds)
+        p, phi = p1[-1], phi1[-1]
+        if first is None:
+            continue
+        crossed = first >= 0
+        if crossed.all():               # the last live starts
+            detected[detected < 0] = first
+            break
+        # the live starts are the entries still at -1, in order
+        detected[detected < 0] = first
+        live = ~crossed
+        p, phi, dp, dphi, prev_sign = (
+            a[live] for a in (p, phi, dp, dphi, prev_sign))
+        if step < RING:
+            guess = guess[live]
+        warm.keep(live)
     return int(detected[0]) if one else detected
 
 

@@ -12,7 +12,8 @@ delta = (phi1 - phi)/2:
 
 One private bounce record, _bounce, writes these momenta and the second
 partials of S once, from a jet of h; every map, chart and derivative
-below is a layer over it.  Its first part, _incoming (p and the twist
+below is a layer over it, and bounce is the record of a bounce given by
+its two angles.  Its first part, _incoming (p and the twist
 S12), is all the forward map's solver needs, and forward_map_batch hands
 back the whole record of the bounce it solved, so a step costs no jet
 beyond its solve; the chart map reads p1 from _incoming's parts.
@@ -131,10 +132,16 @@ def _bounce(jet, delta, xp):
                                          half_diff + tilt)
 
 
+def bounce(spec: SupportSpec, phi, phi1):
+    """The bounce record (p, p1, SDerivatives) of the bounce (phi, phi1),
+    from one jet of h at its midpoint; see _bounce."""
+    delta, xp = _check_separation(phi, phi1)
+    return _bounce(spec.jet(0.5 * (phi + phi1)), delta, xp)
+
+
 def s_derivatives(spec: SupportSpec, phi, phi1) -> SDerivatives:
     """Second partials (S11, S12, S22) of S; see _bounce."""
-    delta, xp = _check_separation(phi, phi1)
-    return _bounce(spec.jet(0.5 * (phi + phi1)), delta, xp)[2]
+    return bounce(spec, phi, phi1)[2]
 
 
 def twist_grid(spec: SupportSpec, psi, delta):
@@ -163,8 +170,7 @@ def twist_grid(spec: SupportSpec, psi, delta):
 
 def p_of(spec: SupportSpec, phi, phi1):
     """Momenta (p, p1) of the incoming/outgoing lines of the bounce."""
-    delta, xp = _check_separation(phi, phi1)
-    return _bounce(spec.jet(0.5 * (phi + phi1)), delta, xp)[:2]
+    return bounce(spec, phi, phi1)[:2]
 
 
 def _gamma(jet, psi, xp):

@@ -5,12 +5,13 @@ import warnings
 import numpy as np
 import pytest
 
-from billiards.beam import (REFIT, RING, TangentVector, _fit, _predictors,
+from billiards.beam import (BLOCK_ROUNDS, BLOCK_STEPS, REFIT, RING,
+                            TangentVector, _block_step, _fit, _predictors,
                             _WarmStart, conjugate_scan, monotone_bounds,
                             orbit_lines, push_tangent, riccati_step)
 from billiards.billmap import (BoundaryCoord, LineCoord, SDerivatives,
-                               chart_to_line, forward_map, forward_map_batch,
-                               s_derivatives)
+                               bounce, chart_to_line, forward_map,
+                               forward_map_batch, s_derivatives)
 from billiards.errors import MonotonicityBreak
 from billiards.fourperiodic import invariant_curve_state, table_profile
 from billiards.sampling import scan_starts
@@ -177,27 +178,27 @@ def test_detect_conjugate_none_on_ellipse_region(ellipse21,
 def _warm_jets_per_step(spec, profile, monkeypatch, steps=100):
     # table jet calls per step of a 256-start seed-42 scan of steps + 1
     # steps (fewer when every start detects), less its cold first step;
-    # also the detections
+    # also the detections.  The steps are counted at the scan's per-step
+    # seam, which a block of bounces passes once per bounce
     _, _, p, phi = scan_starts(spec, profile, 256, seed=42)
     calls = [0]
-    maps = [0]
+    seen = [0]
     jet = type(spec).jet
 
     def counted(self, psi):
         calls[0] += 1
         return jet(self, psi)
 
-    def counted_map(spec, p, phi, guess=None):
-        maps[0] += 1
-        return forward_map_batch(spec, p, phi, guess)
+    def counted_step(phi, guess):
+        seen[0] += 1
 
     monkeypatch.setattr(type(spec), "jet", counted)
-    monkeypatch.setattr("billiards.beam.forward_map_batch", counted_map)
+    monkeypatch.setattr("billiards.beam._scan_step", counted_step)
     conjugate_scan(spec, p, phi, 1)
     cold = calls[0]
-    calls[0] = maps[0] = 0
+    calls[0] = seen[0] = 0
     detections = conjugate_scan(spec, p, phi, steps + 1)
-    return (calls[0] - cold) / (maps[0] - 1), detections
+    return (calls[0] - cold) / (seen[0] - 1), detections
 
 
 def test_conjugate_scan_warm_steps_stay_cheap(ellipse21, ellipse21_profile,
@@ -234,6 +235,91 @@ def test_conjugate_scan_fitted_guess_saves_jets(ellipse21, ellipse21_profile,
     assert jets <= 2.14
 
 
+def test_conjugate_scan_block_steps_save_jets(ellipse21, ellipse21_profile,
+                                              monkeypatch):
+    # after RING steps one Newton round advances every live start by
+    # BLOCK_STEPS bounces: 4.07 table jets per step with one solve per
+    # bounce, 1.05 with blocks of 6
+    jets, detections = _warm_jets_per_step(ellipse21, ellipse21_profile,
+                                           monkeypatch, 1000)
+    assert np.all(detections < 0)
+    assert jets <= 2.0
+
+
+@pytest.mark.parametrize("table, profile", [
+    ("ellipse21", "ellipse21_profile"), ("mode6_table", "mode6_profile"),
+])
+def test_block_roots_match_single_steps(table, profile, request,
+                                        monkeypatch):
+    # each root of a block solve is the image of the block's previous line
+    # to a few rounding units of phi: one forward_map_batch step from that
+    # line, started at the root, stays within C eps (1 + |p| + |phi| S12)
+    # / S12, the error that rounding of the momenta and of phi itself
+    # leaves in the root (largest near grazing, where S12 is small).  Over
+    # 300 seed-42 steps the blocks reach C = 18.2 on the ellipse and 14.4
+    # on mode-6; the solver re-solved from its own roots reaches 9.3 and
+    # 10.6
+    spec = request.getfixturevalue(table)
+    _, delta, p, phi = scan_starts(spec, request.getfixturevalue(profile),
+                                   256, seed=42)
+    worst = []
+
+    def checked(spec, p, phi, guesses):
+        p1, roots, sd = _block_step(spec, p, phi, guesses)
+        for i, root in enumerate(roots):
+            line = (p, phi) if i == 0 else (p1[i - 1], roots[i - 1])
+            _, single, _ = forward_map_batch(spec, *line, root)
+            s12 = sd.s12[i]
+            worst.append(np.max(np.abs(root - single) * s12 / (
+                np.finfo(float).eps * (1.0 + np.abs(line[0])
+                                       + np.abs(root) * s12))))
+        return p1, roots, sd
+
+    monkeypatch.setattr("billiards.beam._block_step", checked)
+    conjugate_scan(spec, p, phi, 300, phi + 2.0 * delta)
+    assert len(worst) >= 300 - RING - BLOCK_STEPS
+    assert max(worst) <= 19.0
+
+
+def test_block_cost_is_bounded(mode6_table, mode6_profile, monkeypatch):
+    # a block costs its slowest entry's Newton rounds, at most BLOCK_ROUNDS
+    # bounce evaluations and one more at the roots, and each entry that
+    # falls back adds its k steps as float solves, each a tenth of the
+    # cost of a one-entry array solve.  Four blocks of these seed-2126
+    # scans have an entry that falls back
+    _, delta, p, phi = scan_starts(mode6_table, mode6_profile, 256,
+                                   seed=2126)
+    blocks = []
+    current = [None]
+
+    def block(spec, p, phi, guesses):
+        current[0] = {"k": len(guesses), "rounds": 0, "solves": []}
+        blocks.append(current[0])
+        try:
+            return _block_step(spec, p, phi, guesses)
+        finally:
+            current[0] = None
+
+    def counted_bounce(spec, phi, phi1):
+        current[0]["rounds"] += 1
+        return bounce(spec, phi, phi1)
+
+    def counted_map(spec, p, phi, guess=None):
+        if current[0] is not None:
+            current[0]["solves"].append(p)
+        return forward_map_batch(spec, p, phi, guess)
+
+    monkeypatch.setattr("billiards.beam._block_step", block)
+    monkeypatch.setattr("billiards.beam.bounce", counted_bounce)
+    monkeypatch.setattr("billiards.beam.forward_map_batch", counted_map)
+    conjugate_scan(mode6_table, p, phi, 100, phi + 2.0 * delta)
+    assert any(b["solves"] for b in blocks)
+    for b in blocks:
+        assert b["rounds"] <= BLOCK_ROUNDS + 1
+        assert all(isinstance(s, float) for s in b["solves"])
+        assert len(b["solves"]) % b["k"] == 0
+
+
 def test_detect_conjugate_found_on_mode6_table(mode6_table, mode6_profile):
     _, _, p, phi = scan_starts(mode6_table, mode6_profile, 64, seed=9)
     detections = conjugate_scan(mode6_table, p, phi, 2000)
@@ -245,16 +331,25 @@ def test_detect_conjugate_found_on_mode6_table(mode6_table, mode6_profile):
 
 
 def _recorded_scan(monkeypatch, spec, p, phi, max_steps, first=None):
-    # the scan's detections and the (phi, guess) of each of its steps;
-    # first is the scan's guess for its first images
+    # the scan's detections, the (phi, guess) of each of its steps from its
+    # per-step seam (a block step's guess is its rolled one), and its
+    # forward_map_batch calls: one per step for the first RING steps, more
+    # when a block entry falls back to them; first is the scan's guess for
+    # its first images
     record = []
+    maps = [0]
 
-    def recording(spec, p, phi, guess=None):
+    def recording(phi, guess):
         record.append((phi, guess))
+
+    def counted_map(spec, p, phi, guess=None):
+        maps[0] += 1
         return forward_map_batch(spec, p, phi, guess)
 
-    monkeypatch.setattr("billiards.beam.forward_map_batch", recording)
-    return conjugate_scan(spec, p, phi, max_steps, first), record
+    monkeypatch.setattr("billiards.beam._scan_step", recording)
+    monkeypatch.setattr("billiards.beam.forward_map_batch", counted_map)
+    detections = conjugate_scan(spec, p, phi, max_steps, first)
+    return detections, record, maps[0]
 
 
 def test_conjugate_scan_entries_equal_float_scans(mode6_table, mode6_profile,
@@ -265,18 +360,22 @@ def test_conjugate_scan_entries_equal_float_scans(mode6_table, mode6_profile,
     # mis-compacted row would cost jets only, not change a detection
     _, _, p, phi = scan_starts(mode6_table, mode6_profile, 64, seed=9)
     max_steps = 200
-    detections, record = _recorded_scan(monkeypatch, mode6_table, p, phi,
-                                        max_steps)
+    detections, record, _ = _recorded_scan(monkeypatch, mode6_table, p, phi,
+                                           max_steps)
     assert np.any(detections >= 0) and np.any(detections < 0)
     ends = np.where(detections < 0, max_steps, detections)
     # starts leave before the first fit, between the fits and after them
     assert np.any(ends < RING) and np.any(ends > RING + REFIT)
     assert np.any((RING < ends) & (ends < RING + REFIT))
+    fell_back = []
     for i in range(64):
-        single, own = _recorded_scan(monkeypatch, mode6_table, float(p[i]),
-                                     float(phi[i]), max_steps)
+        single, own, maps = _recorded_scan(monkeypatch, mode6_table,
+                                           float(p[i]), float(phi[i]),
+                                           max_steps)
         assert single == detections[i]
         assert len(own) == ends[i]
+        if maps > min(RING, ends[i]):
+            fell_back.append(i)
         for step, (phi_s, guess_s) in enumerate(own):
             # entry i's position among the starts live at this step
             pos = int(np.sum(ends[:i] > step))
@@ -286,6 +385,8 @@ def test_conjugate_scan_entries_equal_float_scans(mode6_table, mode6_profile,
                 assert guess_s is None and guess_b is None
             else:
                 assert guess_s.tobytes() == guess_b[pos:pos + 1].tobytes()
+    # a block entry that falls back to single steps keeps its bits too
+    assert fell_back
 
 
 def test_conjugate_scan_warm_first_solve_entries_equal_float_scans(
@@ -295,15 +396,15 @@ def test_conjugate_scan_warm_first_solve_entries_equal_float_scans(
     _, delta, p, phi = scan_starts(mode6_table, mode6_profile, 64, seed=9)
     first = phi + 2.0 * delta
     max_steps = 200
-    detections, record = _recorded_scan(monkeypatch, mode6_table, p, phi,
-                                        max_steps, first)
+    detections, record, _ = _recorded_scan(monkeypatch, mode6_table, p, phi,
+                                           max_steps, first)
     assert np.any(detections >= 0) and np.any(detections < 0)
     assert record[0][1].tobytes() == first.tobytes()
     ends = np.where(detections < 0, max_steps, detections)
     for i in range(64):
-        single, own = _recorded_scan(monkeypatch, mode6_table, float(p[i]),
-                                     float(phi[i]), max_steps,
-                                     float(first[i]))
+        single, own, _ = _recorded_scan(monkeypatch, mode6_table, float(p[i]),
+                                        float(phi[i]), max_steps,
+                                        float(first[i]))
         assert single == detections[i]
         assert len(own) == ends[i]
         for step, (phi_s, guess_s) in enumerate(own):
@@ -364,6 +465,16 @@ def test_conjugate_scan_guess_shape_must_match(ellipse21, ellipse21_profile):
                             (float(p[0]), float(phi[0]), phi[:1])):
         with pytest.raises(ValueError, match="guess of shape"):
             conjugate_scan(ellipse21, p0, phi0, 5, guess)
+
+
+def test_conjugate_scan_starts_must_be_floats_or_1d(ellipse21,
+                                                    ellipse21_profile):
+    # a 2-d start array is refused by name, before any step
+    _, _, p, phi = scan_starts(ellipse21, ellipse21_profile, 8, seed=1)
+    for p0, phi0 in ((p.reshape(2, 4), phi.reshape(2, 4)),
+                     (p, phi.reshape(2, 4)), (p.reshape(2, 4), phi)):
+        with pytest.raises(ValueError, match=r"starts of shape \(2, 4\)"):
+            conjugate_scan(ellipse21, p0, phi0, 30)
 
 
 def _harmonic_increments(amps, steps=RING + 1, starts=8, omega=0.7):
@@ -453,24 +564,35 @@ def test_warm_start_flat_window_keeps_delta(with_varying):
 ])
 def test_conjugate_scan_steps_only_live_starts(table, profile, request,
                                                monkeypatch):
-    # a start that has detected leaves the batch: the map is computed for
-    # exactly the steps up to each start's detection (max_steps if none)
+    # a start that has detected leaves the batch: each step is taken by
+    # exactly the starts that have not detected before it (max_steps if
+    # never), and the map is computed for those steps, up to the end of
+    # the block a start detects in
     spec = request.getfixturevalue(table)
     widths = []
+    blocks = []
 
-    def counted(spec, p, phi, guess=None):
-        widths.append(p.size)
-        return forward_map_batch(spec, p, phi, guess)
+    def seen(phi, guess):
+        widths.append(phi.size)
 
-    monkeypatch.setattr("billiards.beam.forward_map_batch", counted)
+    def counted_block(spec, p, phi, guesses):
+        blocks.append(guesses.size)
+        return _block_step(spec, p, phi, guesses)
+
+    monkeypatch.setattr("billiards.beam._scan_step", seen)
+    monkeypatch.setattr("billiards.beam._block_step", counted_block)
     max_steps = 100
     _, _, p, phi = scan_starts(spec, request.getfixturevalue(profile), 64,
                                seed=42)
     detections = conjugate_scan(spec, p, phi, max_steps)
     live_steps = sum(int(s) if s >= 0 else max_steps for s in detections)
     assert sum(widths) == live_steps
+    computed = sum(widths[:RING]) + sum(blocks)
+    late = np.sum(detections > RING)
+    assert live_steps <= computed <= live_steps + (BLOCK_STEPS - 1) * late
     if table == "ellipse21":
         assert live_steps == 64 * max_steps
+        assert computed == live_steps
     else:
         assert np.any(detections >= 0)
 
@@ -481,8 +603,9 @@ def test_conjugate_scan_steps_only_live_starts(table, profile, request,
 def test_conjugate_scan_evaluates_jets_only_inside_the_map(table, profile,
                                                            request,
                                                            monkeypatch):
-    # the S-derivatives of each step come with the map's image, so the
-    # scan evaluates h nowhere but inside forward_map_batch
+    # the S-derivatives of each step come with the map's image, or with a
+    # block's roots, so the scan evaluates h nowhere but inside
+    # forward_map_batch and _block_step
     spec = request.getfixturevalue(table)
     depth = [0]
     outside = [0]
@@ -492,17 +615,21 @@ def test_conjugate_scan_evaluates_jets_only_inside_the_map(table, profile,
         outside[0] += depth[0] == 0
         return jet(self, psi)
 
-    def counted_map(spec, p, phi, guess=None):
-        depth[0] += 1
-        try:
-            return forward_map_batch(spec, p, phi, guess)
-        finally:
-            depth[0] -= 1
+    def inside(fn):
+        def counted(*args):
+            depth[0] += 1
+            try:
+                return fn(*args)
+            finally:
+                depth[0] -= 1
+        return counted
 
     _, _, p, phi = scan_starts(spec, request.getfixturevalue(profile), 64,
                                seed=42)
     monkeypatch.setattr(type(spec), "jet", counted_jet)
-    monkeypatch.setattr("billiards.beam.forward_map_batch", counted_map)
+    monkeypatch.setattr("billiards.beam.forward_map_batch",
+                        inside(forward_map_batch))
+    monkeypatch.setattr("billiards.beam._block_step", inside(_block_step))
     conjugate_scan(spec, p, phi, 50)
     assert outside[0] == 0
 
