@@ -1,0 +1,119 @@
+"""Table `jet` calls per step and block fallback solves of `conjugate_scan`.
+
+    python3 scripts/scan_counts.py [--src DIR]
+
+The package is imported from `DIR`, by default the `src/` of the checkout
+that holds this script, so one version of the script can count two trees
+(say, `git archive` exports of a parent commit and of a change).
+For each table of the benchmark (`perfbench/workloads.py`) and each step
+count `N` of 100, 1000 and 10000 it scans the 256 seed-42 `scan_starts`
+cold, as the tests of `tests/test_beam.py` do, and prints:
+
+- `jets/step`: table `jet` calls of a scan of `N + 1` steps, less those of
+  its cold first step, per step after it (the steps are counted at the
+  scan's per-step seam `beam._scan_step`, which a block passes once per
+  bounce); the calls are counted by wrapping the table class's `jet`;
+- `fallback`: the float `forward_map_batch` solves made inside
+  `beam._block_step` by entries that fell back, and their table `jet`
+  calls per solve;
+- `detected`: the starts that detect within the `N + 1` steps.
+
+Counts do not depend on the machine's speed, only on the numerics.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from workloads import TABLE_SPECS  # noqa: E402
+
+STARTS, SEED = 256, 42
+STEPS = (100, 1000, 10000)
+
+
+def counts(spec, steps: int) -> dict[str, float]:
+    import numpy as np
+
+    from billiards import beam
+    from billiards.fourperiodic import table_profile
+    from billiards.sampling import scan_starts
+
+    _, _, p, phi = scan_starts(spec, table_profile(spec), STARTS, SEED)
+    jets = [0]
+    seen = [0]
+    inside = [False]
+    fallback = [0, 0]       # float solves in blocks, their jet calls
+    cls = type(spec)
+    jet, step, block, solve = (cls.jet, beam._scan_step, beam._block_step,
+                               beam.forward_map_batch)
+
+    def counted_jet(self, psi):
+        jets[0] += 1
+        return jet(self, psi)
+
+    def counted_step(phi, guess):
+        seen[0] += 1
+
+    def counted_block(*args):
+        inside[0] = True
+        try:
+            return block(*args)
+        finally:
+            inside[0] = False
+
+    def counted_solve(*args):
+        if not inside[0]:
+            return solve(*args)
+        before = jets[0]
+        try:
+            return solve(*args)
+        finally:
+            fallback[0] += 1
+            fallback[1] += jets[0] - before
+
+    cls.jet = counted_jet
+    beam._scan_step, beam._block_step, beam.forward_map_batch = (
+        counted_step, counted_block, counted_solve)
+    try:
+        beam.conjugate_scan(spec, p, phi, 1)
+        cold = jets[0]
+        jets[0] = seen[0] = 0
+        fallback[:] = [0, 0]
+        detections = beam.conjugate_scan(spec, p, phi, steps + 1)
+    finally:
+        cls.jet = jet
+        beam._scan_step, beam._block_step, beam.forward_map_batch = (
+            step, block, solve)
+    return {"jets": (jets[0] - cold) / (seen[0] - 1),
+            "solves": fallback[0],
+            "per_solve": fallback[1] / fallback[0] if fallback[0] else 0.0,
+            "detected": int(np.sum(detections >= 0))}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="directory holding the billiards package "
+                             "(default: this checkout's src/)")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(args.src.resolve()))
+    from billiards.supportfn import table_from_dict
+
+    print(f"{'table':10s} {'steps':>6s} {'jets/step':>9s} {'fallback':>8s} "
+          f"{'jets/solve':>10s} {'detected':>8s}")
+    for name, data in TABLE_SPECS.items():
+        spec = table_from_dict(data)
+        for steps in STEPS:
+            c = counts(spec, steps)
+            print(f"{name:10s} {steps:6d} {c['jets']:9.3f} {c['solves']:8d} "
+                  f"{c['per_solve']:10.2f} {c['detected']:8d}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

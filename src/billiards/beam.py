@@ -17,11 +17,11 @@ bundle at all.
 The scan's cost is the map's implicit solve: one per start and step for
 its first RING steps, then one Newton solve of BLOCK_STEPS bounces at
 once, on the discrete Euler-Lagrange equations of S (see _block_step).
-Both are warm-started by linear prediction of each start's angle
+The blocks are warm-started by linear prediction of each start's angle
 increments: on an invariant curve, the foliation the paper assumes below
 the 4-periodic curve, they are quasi-periodic and satisfy a linear
-recurrence with constant coefficients, refitted every REFIT steps (see
-WINDOW below).
+recurrence with constant coefficients, fitted once per start to its
+first RING increments (see the constants below).
 """
 
 from __future__ import annotations
@@ -91,63 +91,27 @@ def monotone_bounds(spec: SupportSpec, prev: LineCoord, cur: LineCoord,
     return lower, upper
 
 
-# The scan's warm start extends each start's angle increments
+# The scan's blocks extend each start's angle increments
 # D_n = phi_{n+1} - phi_n.  On an invariant curve they are g(theta + n omega),
 # and a g with K harmonics satisfies the palindromic recurrence of order 2K
 #     D_{n+2K} + D_n = sum_j b_j (D_{n+2K-j} + D_{n+j}) + b_K D_{n+K} + e,
 # j < K, with constant coefficients (linear prediction, as in Prony's method).
-# Until a start has RING increments it fits K = 1, c = 2 cos omega, to the
-# last WINDOW of them (running sums, updated each step).  Once it has RING,
-# and every REFIT steps after that (at the end of the block that reaches
-# the step), it fits K = 3 and K = 1 to the last RING and keeps one
-# predictor row over its last 6 increments: K = 3 where its residual is
+# Its single steps guess 2 phi1 - phi (delta conserved).  At step RING it
+# fits K = 3 and K = 1 to each start's RING increments, once, and keeps one
+# predictor row over the last 6 increments: K = 3 where its residual is
 # below PREFER times the K = 1 residual.  A block's guesses roll the row
-# over its own predictions.  When the increments barely vary (the
-# circle's are constant) the coefficients are undetermined and the guess
-# is 2 phi1 - phi (delta conserved).
-WINDOW = 9          # increments per running fit, so WINDOW - 2 triples
-FLAT = 1e-12        # squared spread of D_n over its square that counts as
-                    # flat: the variance for the running fit, the range for
-                    # a refit
-RING = 25           # increments per refit
-REFIT = 64          # steps between refits
+# over its own predictions.  When the increments barely vary (the circle's
+# are constant) the coefficients are undetermined and a block repeats the
+# last increment (delta conserved).
+FLAT = 1e-12        # squared range of D_n over its square that counts as flat
+RING = 16           # increments per fit, and single steps before the blocks
 PREFER = 0.3        # rms residual ratio below which K = 3 is used
-RIDGE = 1e-13       # diagonal load of a refit, relative to its trace
+RIDGE = 1e-13       # diagonal load of a fit, relative to its trace
 BLOCK_STEPS = 6     # bounces per block solve after the first RING steps
 BLOCK_ROUNDS = 8    # Newton rounds before a block entry falls back
 BLOCK_HALVINGS = 8  # halvings of a block update that leaves the floor
 SPAN = 0.1          # margin of a rolled increment beyond the range of the
                     # last RING, relative to that range
-
-
-def _slide(sums, incs):
-    """Running sums (Sx, Sy, Sxx, Sxy) over the last WINDOW increments'
-    triples, x = D_k and y = D_{k-1} + D_{k+1}, after incs (the rows,
-    oldest first) gained its newest increment: adds the newest triple
-    and, once incs outgrows the window, drops the oldest one."""
-    sx, sy, sxx, sxy = sums
-    if len(incs) >= 3:
-        x, y = incs[-2], incs[-3] + incs[-1]
-        sx, sy, sxx, sxy = sx + x, sy + y, sxx + x * x, sxy + x * y
-    if len(incs) > WINDOW:
-        x, y = incs[-WINDOW], incs[-WINDOW - 1] + incs[-WINDOW + 1]
-        sx, sy, sxx, sxy = sx - x, sy - y, sxx - x * x, sxy - x * y
-    return sx, sy, sxx, sxy
-
-
-def _running_guess(phi1, phi, sums, incs):
-    """Next phi: phi1 + c D_n + e - D_{n-1} from the running K = 1 fit, or
-    2 phi1 - phi while the window is short or flat."""
-    delta_kept = 2.0 * phi1 - phi
-    if len(incs) < WINDOW:
-        return delta_kept
-    n = WINDOW - 2
-    sx, sy, sxx, sxy = sums
-    var = n * sxx - sx * sx
-    flat = var <= FLAT * n * sxx
-    c = (n * sxy - sx * sy) / np.where(flat, 1.0, var)
-    e = (sy - c * sx) / n
-    return np.where(flat, delta_kept, phi1 + c * incs[-1] + e - incs[-2])
 
 
 def _total(terms):
@@ -200,8 +164,8 @@ def _predictors(ring):
 def _fit(ring):
     """Predictor (row, const, flat) per start from its RING increments
     (_predictors).  flat marks the windows whose increments barely vary,
-    and whose guess stays 2 phi1 - phi; all three are None when every
-    window is flat, and nothing is fitted."""
+    and whose blocks repeat the last increment; all three are None when
+    every window is flat, and nothing is fitted."""
     hi, lo = ring.max(axis=0), ring.min(axis=0)
     size = np.maximum(np.abs(hi), np.abs(lo))
     flat = (hi - lo) ** 2 <= FLAT * size * size
@@ -211,51 +175,28 @@ def _fit(ring):
 
 
 class _WarmStart:
-    """The next-phi guesses of conjugate_scan, from the increments of its
-    live starts: the running K = 1 fit until RING increments exist, then
-    the row fitted at that step and every REFIT steps after it."""
+    """The block guesses of conjugate_scan: the increments of its live
+    starts, and the predictor row fitted once, to each start's first RING
+    of them."""
 
     def __init__(self, n):
         self.steps = 0
         # each increment is written to rows head and head + RING, so the
-        # last RING are rows head + 1 .. head + RING, oldest first; before
-        # RING steps the increments so far are rows 0 .. steps - 1
+        # last RING are rows head + 1 .. head + RING, oldest first; the
+        # first RING are rows 0 .. RING - 1 until more are written
         self.ring = np.zeros((2 * RING, n))
         self.head = -1
-        self.sums = (np.zeros(n),) * 4      # Sx, Sy, Sxx, Sxy, until RING
         self.row = self.const = self.flat = None
 
-    def _add(self, inc):
-        self.steps += 1
-        self.head = (self.head + 1) % RING
-        self.ring[self.head] = self.ring[self.head + RING] = inc
-
-    def next(self, phi, phi1):
-        """The guess for the image of phi1, whose preimage is phi."""
-        self._add(phi1 - phi)
-        if self.steps < RING:
-            incs = self.ring[:self.steps]
-            self.sums = _slide(self.sums, incs)
-            return _running_guess(phi1, phi, self.sums, incs)
-        top = self.head + RING + 1
-        if (self.steps - RING) % REFIT == 0:
-            self.row, self.const, self.flat = _fit(self.ring[top - RING:top])
-        if self.row is None:
-            return 2.0 * phi1 - phi
-        guess = phi1 + (self.const + _total(
-            self.row * self.ring[top - len(self.row):top]))
-        return np.where(self.flat, 2.0 * phi1 - phi, guess)
-
     def record(self, incs):
-        """Add the increments of a block step (rows, oldest first), from
-        step RING on, and refit at the block end that reaches a REFIT
-        step."""
-        before = self.steps
-        for inc in incs:
-            self._add(inc)
-        if (self.steps - RING) // REFIT > (before - RING) // REFIT:
-            top = self.head + RING + 1
-            self.row, self.const, self.flat = _fit(self.ring[top - RING:top])
+        """Add one row of increments, or the rows of a block, oldest
+        first; the row that makes RING fits the predictor row."""
+        for inc in np.atleast_2d(incs):
+            self.steps += 1
+            self.head = (self.head + 1) % RING
+            self.ring[self.head] = self.ring[self.head + RING] = inc
+            if self.steps == RING:
+                self.row, self.const, self.flat = _fit(self.ring[:RING])
 
     def roll(self, phi, k):
         """Guesses (k, starts) for the next k lines after phi, from step
@@ -288,7 +229,6 @@ class _WarmStart:
     def keep(self, live):
         """Drop the starts where live is False."""
         self.ring = self.ring[:, live]
-        self.sums = tuple(s[live] for s in self.sums)
         if self.row is not None:
             self.row, self.const = self.row[:, live], self.const[live]
             self.flat = self.flat[live]
@@ -316,9 +256,11 @@ def _block_step(spec: SupportSpec, p, phi, guesses):
     (DELTA_MIN, pi - DELTA_MIN), so nothing is evaluated outside it.  An
     update that leaves it is halved, up to BLOCK_HALVINGS times.  An
     entry still outside, or not done within BLOCK_ROUNDS rounds, falls
-    back to k float forward_map_batch solves: the first from its rolled
-    guess, the later ones keeping delta.  Every decision is the entry's
-    own, so each entry keeps its bits in a batch of any composition.
+    back to k float forward_map_batch solves.  An entry inside but not
+    done guesses each solve from its last Newton iterate; one outside
+    guesses the first from its rolled guess and keeps delta for the later
+    ones.  Every decision is the entry's own, so each entry keeps its
+    bits in a batch of any composition.
 
     A block costs its slowest entry's rounds, so the round cap and the
     float solves bound what one stray entry adds to it: most entries are
@@ -377,6 +319,8 @@ def _block_step(spec: SupportSpec, p, phi, guesses):
             left = ~stop
             index, x, p0 = index[left], x[:, left], p0[left]
     else:
+        if x is not lines:
+            lines[:, index] = x
         fallback[index] = True
     if not fallback.any():
         _, p1, sd = bounce(spec, lines[:-1], lines[1:])
@@ -393,10 +337,13 @@ def _block_step(spec: SupportSpec, p, phi, guesses):
     # one entry at a time, as floats: a float solve has the bits of its
     # entry in an array solve at about a tenth of the cost of a one-entry
     # array solve, and entries fall back one or two per block
-    for j in np.flatnonzero(fallback):
+    fell = np.flatnonzero(fallback)
+    for j, near in zip(fell, _inside(lines[:, fell])):
         line_p, line_phi = float(p[j]), float(phi[j])
         guess = float(guesses[0, j])
         for i in range(k):
+            if near:        # its last iterate, not yet overwritten
+                guess = float(roots[i, j])
             line_p, phi1, sd_i = forward_map_batch(spec, line_p, line_phi,
                                                    guess)
             guess = 2.0 * phi1 - line_phi
@@ -442,16 +389,13 @@ def conjugate_scan(spec: SupportSpec, p0, phi0, max_steps: int,
     first solve starts at the bracket midpoint.
 
     The scan has two phases.  Its first RING steps are one
-    forward_map_batch solve each, warm-started from the start's angle
-    increments D_n = phi_{n+1} - phi_n, which are quasi-periodic on an
-    invariant curve: the guess extends the recurrence
-    D_{n+1} + D_{n-1} = c D_n + e fitted by least squares to the last
-    WINDOW increments (running sums, updated each step).  At step RING,
-    and at the block end that reaches every REFIT steps after it, the
-    predictor row is fitted to the last RING increments: order 6 (three
-    harmonics) where that fits the window much better than order 2, else
-    order 2.  When the increments barely vary the guess keeps the last
-    increment (delta conserved).
+    forward_map_batch solve each, the image guessed as 2 phi1 - phi
+    (delta conserved).  At step RING a predictor row is fitted, once, to
+    each start's angle increments D_n = phi_{n+1} - phi_n so far, which
+    are quasi-periodic on an invariant curve: order 6 (three harmonics)
+    where that fits them much better than order 2, else order 2.  When
+    the increments barely vary the row is not used, and the last
+    increment is repeated (delta conserved).
 
     After RING steps the scan advances in blocks of BLOCK_STEPS bounces
     (fewer at the end), one _block_step each: the row, rolled forward over
@@ -488,7 +432,9 @@ def conjugate_scan(spec: SupportSpec, p0, phi0, max_steps: int,
         if step < RING:
             p1, phi1, sd = forward_map_batch(spec, p, phi, guess)
             _scan_step(phi, guess)
-            guess = warm.next(phi, phi1)
+            if step + 1 < max_steps:    # no fit for a scan that ends here
+                warm.record(phi1 - phi)
+            guess = 2.0 * phi1 - phi
             p1, phi1, sds = (p1,), (phi1,), (sd,)
         else:
             guesses = warm.roll(phi, min(BLOCK_STEPS, max_steps - step))

@@ -36,7 +36,7 @@ from .wirtinger import reduction_chain
 
 
 # largest --grid, --n or --starts: a run at this size peaks near 2.3 GB
-# (beam-scan: 2.2 KB per start by tracemalloc, 16384 ellipse starts and
+# (beam-scan: 2.0 KB per start by tracemalloc, 16384 ellipse starts and
 # 40 steps), well inside an 8 GB machine
 MAX_POINTS = 2**20
 # smallest --grid or --n: the integral chain refuses fewer points, and on

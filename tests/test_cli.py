@@ -554,8 +554,8 @@ def test_beam_scan_mode6_detects(mode6_spec, tmp_path):
 
 @pytest.mark.parametrize("starts", [0, 1])
 def test_beam_scan_edge_start_counts(ellipse_spec, tmp_path, starts):
-    # no start at all, and one start that runs past the first refit of
-    # its warm start (step 25) to max_steps: the usual report either way
+    # no start at all, and one start that runs past the fit of its warm
+    # start (step 16, beam.RING) to max_steps: the usual report either way
     out = tmp_path / "scan.json"
     assert main(["beam-scan", ellipse_spec, "--starts", str(starts),
                  "--max-steps", "100", "--seed", "42",
