@@ -18,6 +18,10 @@ cold, as the tests of `tests/test_beam.py` do, and prints:
   calls per solve;
 - `detected`: the starts that detect within the `N + 1` steps.
 
+For the mode-6 table it then prints, for each `N`, the fallback solves
+grouped by the step at which their block starts (`step:solves`, a block
+at step `s` solving the bounces of steps `s + 1` on).
+
 Counts do not depend on the machine's speed, only on the numerics.
 """
 
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,6 +39,7 @@ from workloads import TABLE_SPECS  # noqa: E402
 
 STARTS, SEED = 256, 42
 STEPS = (100, 1000, 10000)
+BY_BLOCK = "mode6"      # the table whose fallbacks are grouped by block
 
 
 def counts(spec, steps: int) -> dict[str, float]:
@@ -48,6 +54,8 @@ def counts(spec, steps: int) -> dict[str, float]:
     seen = [0]
     inside = [False]
     fallback = [0, 0]       # float solves in blocks, their jet calls
+    by_block = Counter()    # float solves per step at which a block starts
+    block_at = [0]
     cls = type(spec)
     jet, step, block, solve = (cls.jet, beam._scan_step, beam._block_step,
                                beam.forward_map_batch)
@@ -61,6 +69,7 @@ def counts(spec, steps: int) -> dict[str, float]:
 
     def counted_block(*args):
         inside[0] = True
+        block_at[0] = seen[0]
         try:
             return block(*args)
         finally:
@@ -75,6 +84,7 @@ def counts(spec, steps: int) -> dict[str, float]:
         finally:
             fallback[0] += 1
             fallback[1] += jets[0] - before
+            by_block[block_at[0]] += 1
 
     cls.jet = counted_jet
     beam._scan_step, beam._block_step, beam.forward_map_batch = (
@@ -84,6 +94,7 @@ def counts(spec, steps: int) -> dict[str, float]:
         cold = jets[0]
         jets[0] = seen[0] = 0
         fallback[:] = [0, 0]
+        by_block.clear()
         detections = beam.conjugate_scan(spec, p, phi, steps + 1)
     finally:
         cls.jet = jet
@@ -92,7 +103,8 @@ def counts(spec, steps: int) -> dict[str, float]:
     return {"jets": (jets[0] - cold) / (seen[0] - 1),
             "solves": fallback[0],
             "per_solve": fallback[1] / fallback[0] if fallback[0] else 0.0,
-            "detected": int(np.sum(detections >= 0))}
+            "detected": int(np.sum(detections >= 0)),
+            "by_block": sorted(by_block.items())}
 
 
 def main(argv=None) -> int:
@@ -106,12 +118,18 @@ def main(argv=None) -> int:
 
     print(f"{'table':10s} {'steps':>6s} {'jets/step':>9s} {'fallback':>8s} "
           f"{'jets/solve':>10s} {'detected':>8s}")
+    by_block = {}
     for name, data in TABLE_SPECS.items():
         spec = table_from_dict(data)
         for steps in STEPS:
             c = counts(spec, steps)
             print(f"{name:10s} {steps:6d} {c['jets']:9.3f} {c['solves']:8d} "
                   f"{c['per_solve']:10.2f} {c['detected']:8d}")
+            if name == BY_BLOCK:
+                by_block[steps] = c["by_block"]
+    print(f"\n{BY_BLOCK} fallback solves by block start step (step:solves)")
+    for steps, groups in by_block.items():
+        print(f"{steps:6d} " + " ".join(f"{at}:{n}" for at, n in groups))
     return 0
 
 

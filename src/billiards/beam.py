@@ -45,11 +45,6 @@ class TangentVector(NamedTuple):
     line: LineCoord
 
 
-class BeamState(NamedTuple):
-    omega: float
-    line: LineCoord
-
-
 def riccati_step(sd: SDerivatives, omega: float) -> tuple[float, float]:
     """One slope-propagation step; returns (omega_next, nu1).
 

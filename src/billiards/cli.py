@@ -21,18 +21,14 @@ import sys
 
 import numpy as np
 
+# every command needs these; each command imports the modules it runs,
+# so a process loads only those (billmap, fourperiodic, sampling, beam and
+# wirtinger are most of the package's import time)
 from . import __version__
-from .beam import conjugate_scan
-from .billmap import DELTA_MIN, jacobian_check_batch, oracle_orbit, \
-    twist_grid
 from .errors import BilliardError, CurvatureViolation, GrazingRay, SpecError
-from .fourperiodic import table_profile, verify_d_h_relations, verify_orthoptic, \
-    verify_parallelogram
 from .profiles import validate_profile
-from .sampling import random_interior_lines, scan_starts
-from .supportfn import EllipseTable, ProfileTable, is_centrally_symmetric, \
-    load_table, symmetry_defect, table_to_dict, validate_table
-from .wirtinger import reduction_chain
+from .supportfn import EllipseTable, ProfileTable, load_table, \
+    symmetry_check, table_to_dict, validate_table
 
 
 # largest --grid, --n or --starts: a run at this size peaks near 2.3 GB
@@ -149,8 +145,8 @@ def cmd_table_validate(args) -> int:
         print(f"rho-positivity: FAIL ({exc})")
         failed = True
 
-    defect = symmetry_defect(spec)
-    if is_centrally_symmetric(spec):
+    defect, symmetric = symmetry_check(spec)
+    if symmetric:
         print(f"central-symmetry: PASS (defect {defect:.3g})")
     else:
         print(f"central-symmetry: FAIL (|h(psi+pi) - h(psi)| reaches "
@@ -164,6 +160,8 @@ def cmd_table_validate(args) -> int:
 
 
 def cmd_orbit(args) -> int:
+    from .billmap import DELTA_MIN, oracle_orbit
+
     if not (math.isfinite(args.psi0) and math.isfinite(args.delta0)):
         raise UsageError("--psi0 and --delta0 must be finite")
     if math.ulp(args.psi0) > DELTA_MIN:
@@ -214,6 +212,8 @@ def _check(name, grid, residual, tol, passed=None, **extra) -> dict:
 
 
 def _check_twist(spec, profile, grid, tol, seed):
+    from .billmap import twist_grid
+
     grid = min(grid, 128)
     psi = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
     delta = (np.arange(grid) + 1.0) * math.pi / (grid + 1)
@@ -224,6 +224,9 @@ def _check_twist(spec, profile, grid, tol, seed):
 
 
 def _check_symplectic(spec, profile, grid, tol, seed):
+    from .billmap import jacobian_check_batch
+    from .sampling import random_interior_lines
+
     tol = max(tol, 1e-6)  # finite differences floor the achievable accuracy
     p, phi = random_interior_lines(spec, 1000, seed)
     dets = jacobian_check_batch(spec, p, phi)
@@ -232,17 +235,23 @@ def _check_symplectic(spec, profile, grid, tol, seed):
 
 
 def _check_poncelet(spec, profile, grid, tol, seed):
+    from .fourperiodic import verify_parallelogram
+
     starts = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
     quad = verify_parallelogram(spec, profile, starts, tol)
     return _check("poncelet", 64, float(np.max(quad.max_residual)), tol)
 
 
 def _check_orthoptic(spec, profile, grid, tol, seed):
+    from .fourperiodic import verify_orthoptic
+
     r_squared, deviation = verify_orthoptic(spec, grid)
     return _check("orthoptic", grid, deviation, tol, r_squared=r_squared)
 
 
 def _check_relations(spec, profile, grid, tol, seed):
+    from .fourperiodic import verify_d_h_relations
+
     res_h, res_dh = verify_d_h_relations(spec, profile, grid)
     return _check("relations", grid, max(res_h, res_dh), tol)
 
@@ -256,6 +265,8 @@ NEEDS_PROFILE = ("poncelet", "relations")
 
 
 def cmd_verify(args) -> int:
+    from .fourperiodic import table_profile
+
     spec = _load(args.spec)
     validate_table(spec)
     profile = table_profile(spec)
@@ -275,6 +286,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_integral(args) -> int:
+    from .fourperiodic import table_profile
+    from .wirtinger import reduction_chain
+
     spec = _load(args.spec)
     profile = table_profile(spec)
     if profile is None:
@@ -302,6 +316,10 @@ def cmd_integral(args) -> int:
 
 
 def cmd_beam_scan(args) -> int:
+    from .beam import conjugate_scan
+    from .fourperiodic import table_profile
+    from .sampling import scan_starts
+
     spec = _load(args.spec)
     validate_table(spec)
     _, delta, p, phi = scan_starts(spec, table_profile(spec), args.starts,

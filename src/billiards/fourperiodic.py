@@ -21,23 +21,30 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
-from .beam import BeamState
-from .billmap import BoundaryCoord, chart_to_line, oracle_orbit
+from .billmap import BoundaryCoord, LineCoord, chart_to_line, oracle_orbit
 from .profiles import (AngleProfile, EllipseProfile, Profile, _xp,
                        d_by_entry, ellipse_profile, profile_from_modes,
                        validate_profile)
 from .supportfn import EllipseTable, ProfileTable, SupportSpec
 
 __all__ = [
-    "AngleProfile", "EllipseProfile", "Profile", "PonceletQuad",
+    "AngleProfile", "BeamState", "EllipseProfile", "Profile", "PonceletQuad",
     "ellipse_profile", "profile_from_modes",
     "validate_profile", "table_profile", "invariant_curve_state",
     "verify_parallelogram", "verify_rectangle", "verify_orthoptic",
     "verify_d_h_relations",
 ]
+
+
+class BeamState(NamedTuple):
+    """A line and the slope omega = dp/dphi of a curve through it."""
+
+    omega: float
+    line: LineCoord
 
 
 @dataclass(frozen=True)

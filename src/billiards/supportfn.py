@@ -197,20 +197,25 @@ def validate_table(spec: SupportSpec, grid_n: int = VALIDATION_GRID) -> dict:
     return {"grid": grid_n, "min_rho": min_rho, "min_h": min_h}
 
 
-def symmetry_defect(spec: SupportSpec) -> float:
-    """max |h(psi + pi) - h(psi)| over the VALIDATION_GRID."""
+def symmetry_check(spec: SupportSpec) -> tuple[float, bool]:
+    """(symmetry_defect, is_centrally_symmetric) from one pair of jets on
+    the VALIDATION_GRID."""
     psi = np.linspace(0.0, 2.0 * math.pi, VALIDATION_GRID, endpoint=False)
     h = spec.jet(psi).h
     h_shift = spec.jet(psi + math.pi).h
-    return float(np.max(np.abs(h_shift - h)))
+    defect = float(np.max(np.abs(h_shift - h)))
+    return defect, defect <= 1e-9 * max(1.0, float(np.max(h)))
+
+
+def symmetry_defect(spec: SupportSpec) -> float:
+    """max |h(psi + pi) - h(psi)| over the VALIDATION_GRID."""
+    return symmetry_check(spec)[0]
 
 
 def is_centrally_symmetric(spec: SupportSpec) -> bool:
     """symmetry_defect within 1e-9 max(1, max h) over the VALIDATION_GRID:
     on a symmetric table the defect is rounding, which grows with h."""
-    psi = np.linspace(0.0, 2.0 * math.pi, VALIDATION_GRID, endpoint=False)
-    size = max(1.0, float(np.max(spec.jet(psi).h)))
-    return symmetry_defect(spec) <= 1e-9 * size
+    return symmetry_check(spec)[1]
 
 
 def arclength_of_psi(spec: SupportSpec, psi: float) -> float:

@@ -466,7 +466,7 @@ def test_unwritable_out_is_refused_before_the_scan(ellipse_spec, tmp_path,
         calls[0] += 1
         return np.full(0, -1)
 
-    monkeypatch.setattr(cli, "conjugate_scan", counted)
+    monkeypatch.setattr("billiards.beam.conjugate_scan", counted)
     out = tmp_path / "missing" / "x.json"
     assert main(["beam-scan", ellipse_spec, "--max-steps", "10000",
                  "--out", str(out)]) == 2

@@ -9,7 +9,7 @@ from billiards.errors import CurvatureViolation
 from billiards.profiles import AngleProfile, ellipse_profile
 from billiards.supportfn import (FourierTable, Jet2, arclength_of_psi,
                                  ellipse_support, is_centrally_symmetric,
-                                 perimeter,
+                                 perimeter, symmetry_check,
                                  symmetry_defect, table_from_dict,
                                  table_from_profile, table_to_dict,
                                  validate_table)
@@ -155,6 +155,24 @@ def test_symmetry_validator():
     assert symmetry_defect(asym) == pytest.approx(0.1, abs=1e-12)
     sym = FourierTable(1.0, cos_coeffs=(0.0, 0.1))
     assert is_centrally_symmetric(sym)
+
+
+def test_symmetry_check_takes_two_jets(monkeypatch):
+    # the defect and the size of the tolerance come from one pair of jets
+    asym = FourierTable(1.0, cos_coeffs=(0.05, 0.1))
+    big = FourierTable(3.0, cos_coeffs=(0.0, 0.1))
+    expected = [(symmetry_defect(t), is_centrally_symmetric(t))
+                for t in (asym, big)]
+    calls = [0]
+    jet = FourierTable.jet
+
+    def counted(self, psi):
+        calls[0] += 1
+        return jet(self, psi)
+
+    monkeypatch.setattr(FourierTable, "jet", counted)
+    assert [symmetry_check(t) for t in (asym, big)] == expected
+    assert calls[0] == 4
 
 
 def test_fourier_curvature_violation_raises():
