@@ -170,28 +170,23 @@ def _fit(ring):
 
 
 class _WarmStart:
-    """The block guesses of conjugate_scan: the increments of its live
-    starts, and the predictor row fitted once, to each start's first RING
-    of them."""
+    """The block guesses of conjugate_scan: the last RING increments of
+    its live starts, and the predictor row fitted once, to each start's
+    first RING of them."""
 
     def __init__(self, n):
-        self.steps = 0
-        # each increment is written to rows head and head + RING, so the
-        # last RING are rows head + 1 .. head + RING, oldest first; the
-        # first RING are rows 0 .. RING - 1 until more are written
-        self.ring = np.zeros((2 * RING, n))
-        self.head = -1
+        self.ring = np.zeros((0, n))
         self.row = self.const = self.flat = None
 
-    def record(self, incs):
-        """Add one row of increments, or the rows of a block, oldest
-        first; the row that makes RING fits the predictor row."""
-        for inc in np.atleast_2d(incs):
-            self.steps += 1
-            self.head = (self.head + 1) % RING
-            self.ring[self.head] = self.ring[self.head + RING] = inc
-            if self.steps == RING:
-                self.row, self.const, self.flat = _fit(self.ring[:RING])
+    def record(self, rows):
+        """Add a row of increments, or the rows of a block, oldest first;
+        the rows that first make RING fit the predictor row."""
+        fill = len(self.ring)
+        joined = np.concatenate((self.ring, np.atleast_2d(rows)))
+        # a copy, so the ring holds RING rows and not all of joined
+        self.ring = joined[-RING:].copy()
+        if fill < RING == len(self.ring):
+            self.row, self.const, self.flat = _fit(self.ring)
 
     def roll(self, phi, k):
         """Guesses (k, starts) for the next k lines after phi, from step
@@ -203,16 +198,14 @@ class _WarmStart:
         repeats its last increment, and so does a start with a clipped
         increment outside (2 DELTA_MIN, 2 (pi - DELTA_MIN)), which no
         bounce has."""
-        top = self.head + RING + 1
-        last = self.ring[top - 1]
+        last = self.ring[-1]
         incs = np.broadcast_to(last, (k, len(phi)))
         if self.row is not None:
-            window = list(self.ring[top - 6:top])
+            window = list(self.ring[-6:])
             for _ in range(k):
                 window.append(self.const + _total(
                     r * d for r, d in zip(self.row, window[-6:])))
-            recent = self.ring[top - RING:top]
-            hi, lo = recent.max(axis=0), recent.min(axis=0)
+            hi, lo = self.ring.max(axis=0), self.ring.min(axis=0)
             margin = SPAN * (hi - lo)
             fitted = np.clip(np.array(window[6:]), lo - margin, hi + margin)
             keep = ~self.flat & ((2.0 * DELTA_MIN < fitted)
@@ -244,18 +237,18 @@ def _block_step(spec: SupportSpec, p, phi, guesses):
     equation is done by _solve_increasing's test,
     |G_i| <= RESIDUAL_TOL (1 + |p_i|) plus the floor, p_i the momentum of
     the line it maps; an entry takes its last update once all k are, then
-    freezes, and one more jet at the roots gives p1 and the
-    S-derivatives.  Entries that are done drop out of the rounds.
+    freezes.  Entries that are done drop out of the rounds.
 
     The half-separations of the guesses and of every update must lie in
     (DELTA_MIN, pi - DELTA_MIN), so nothing is evaluated outside it.  An
     update that leaves it is halved, up to BLOCK_HALVINGS times.  An
     entry still outside, or not done within BLOCK_ROUNDS rounds, falls
-    back to k float forward_map_batch solves.  An entry inside but not
-    done guesses each solve from its last Newton iterate; one outside
-    guesses the first from its rolled guess and keeps delta for the later
-    ones.  Every decision is the entry's own, so each entry keeps its
-    bits in a batch of any composition.
+    back to k float forward_map_batch solves for its roots.  An entry
+    inside but not done guesses each solve from its last Newton iterate;
+    one outside guesses the first from its rolled guess and keeps delta
+    for the later ones.  One more jet, at every entry's roots, then gives
+    p1 and the S-derivatives.  Every decision is the entry's own, so each
+    entry keeps its bits in a batch of any composition.
 
     A block costs its slowest entry's rounds, so the round cap and the
     float solves bound what one stray entry adds to it: most entries are
@@ -317,35 +310,23 @@ def _block_step(spec: SupportSpec, p, phi, guesses):
         if x is not lines:
             lines[:, index] = x
         fallback[index] = True
-    if not fallback.any():
-        _, p1, sd = bounce(spec, lines[:-1], lines[1:])
-        return p1, lines[1:], sd
-    roots = lines[1:]
-    p1 = np.empty_like(roots)
-    sd = SDerivatives(*(np.empty_like(roots) for _ in range(3)))
-    solved = np.flatnonzero(~fallback)
-    if solved.size:
-        x = lines[:, solved]
-        _, p1_s, sd_s = bounce(spec, x[:-1], x[1:])
-        for out, part in zip((p1, *sd), (p1_s, *sd_s)):
-            out[:, solved] = part
-    # one entry at a time, as floats: a float solve has the bits of its
-    # entry in an array solve at about a tenth of the cost of a one-entry
-    # array solve, and entries fall back one or two per block
-    fell = np.flatnonzero(fallback)
-    for j, near in zip(fell, _inside(lines[:, fell])):
-        line_p, line_phi = float(p[j]), float(phi[j])
-        guess = float(guesses[0, j])
-        for i in range(k):
-            if near:        # its last iterate, not yet overwritten
-                guess = float(roots[i, j])
-            line_p, phi1, sd_i = forward_map_batch(spec, line_p, line_phi,
-                                                   guess)
-            guess = 2.0 * phi1 - line_phi
-            line_phi = roots[i, j] = phi1
-            for out, part in zip((p1, *sd), (line_p, *sd_i)):
-                out[i, j] = part
-    return p1, roots, sd
+    if fallback.any():
+        # one entry at a time, as floats: a float solve has the bits of its
+        # entry in an array solve at about a tenth of the cost of a
+        # one-entry array solve, and entries fall back one or two per block
+        fell = np.flatnonzero(fallback)
+        for j, near in zip(fell, _inside(lines[:, fell])):
+            line_p, line_phi = float(p[j]), float(phi[j])
+            guess = float(guesses[0, j])
+            for i in range(1, k + 1):
+                if near:        # its last iterate, not yet overwritten
+                    guess = float(lines[i, j])
+                line_p, phi1, _ = forward_map_batch(spec, line_p, line_phi,
+                                                    guess)
+                guess = 2.0 * phi1 - line_phi
+                line_phi = lines[i, j] = phi1
+    _, p1, sd = bounce(spec, lines[:-1], lines[1:])
+    return p1, lines[1:], sd
 
 
 def _inside(x):
@@ -395,12 +376,14 @@ def conjugate_scan(spec: SupportSpec, p0, phi0, max_steps: int,
     After RING steps the scan advances in blocks of BLOCK_STEPS bounces
     (fewer at the end), one _block_step each: the row, rolled forward over
     its own predictions, guesses the block's angles, and Newton rounds
-    on the block's Euler-Lagrange equations solve them together.  The
-    block's S-derivatives then push the vector step by step, and a start
-    that crosses inside a block records the step of its first crossing.
+    on the block's Euler-Lagrange equations solve them together.
 
-    Only live starts are stepped: a start that crosses leaves the batch
-    at the end of its step or block, with its increments and fitted row,
+    Either phase gives rows (p1, phi1, S-derivatives), one per bounce (a
+    single step is a block of one row), and one loop takes them: it
+    records their increments, and pushes the vector row by row, where a
+    start that crosses records the step of its first crossing.  Only
+    live starts are stepped: a start that crosses leaves the batch at
+    the end of its step or block, with its increments and fitted row,
     and the scan ends when none is left.  Every step works entry by entry,
     so the result is the same as stepping all starts to the end, a float
     start gets the step of its array entry, and a start that has crossed
@@ -417,32 +400,37 @@ def conjugate_scan(spec: SupportSpec, p0, phi0, max_steps: int,
             raise ValueError(f"guess of shape {np.shape(guess)} for starts "
                              f"of shape {np.shape(p0)}")
         guess = np.atleast_1d(np.asarray(guess, float))
-    dp = np.ones_like(p)
-    dphi = np.zeros_like(p)
+    dp, dphi = np.ones_like(p), np.zeros_like(p)
     prev_sign = dphi
     detected = np.full(p.shape, -1)
     warm = _WarmStart(len(p))
     step = 0
     while step < max_steps and p.size:
+        # the step's lines as a block of rows, one row for a single step
         if step < RING:
             p1, phi1, sd = forward_map_batch(spec, p, phi, guess)
-            _scan_step(phi, guess)
-            if step + 1 < max_steps:    # no fit for a scan that ends here
-                warm.record(phi1 - phi)
+            guesses, sds = (guess,), (sd,)
             guess = 2.0 * phi1 - phi
-            p1, phi1, sds = (p1,), (phi1,), (sd,)
+            p1, phi1 = p1[None], phi1[None]
         else:
             guesses = warm.roll(phi, min(BLOCK_STEPS, max_steps - step))
             p1, phi1, sd = _block_step(spec, p, phi, guesses)
-            mapped = np.concatenate((phi[None], phi1[:-1]))
-            warm.record(phi1 - mapped)
             sds = [SDerivatives(*row) for row in zip(*sd)]
+        mapped = np.concatenate((phi[None], phi1[:-1]))
+        if step + len(phi1) < max_steps:    # no fit for a scan that ends here
+            warm.record(phi1 - mapped)
         first = None        # the step of each start's first crossing, or -1
         for i, sd in enumerate(sds):
+            seen = mapped[i], guesses[i]
+            if first is not None:
+                live = first < 0        # the starts not crossed yet
+                if not live.any():
+                    break
+                seen = (a[live] for a in seen)
+            _scan_step(*seen)
             dp, dphi = _push(sd, dp, dphi)
             norm = np.maximum(np.abs(dp), np.abs(dphi))
-            dp = dp / norm
-            dphi = dphi / norm
+            dp, dphi = dp / norm, dphi / norm
             sign = np.sign(dphi)
             if step + i >= 1:
                 crossing = (sign == 0.0) | (sign * prev_sign < 0.0)
@@ -451,27 +439,13 @@ def conjugate_scan(spec: SupportSpec, p0, phi0, max_steps: int,
                     first = np.where(crossing, at, -1) if first is None \
                         else np.where((first < 0) & crossing, at, first)
             prev_sign = sign
-        if step >= RING:
-            for i, (phi_i, guess_i) in enumerate(zip(mapped, guesses)):
-                if first is None:
-                    _scan_step(phi_i, guess_i)
-                else:
-                    # the starts not crossed before this step
-                    live = (first < 0) | (first > step + i)
-                    if not live.any():
-                        break
-                    _scan_step(phi_i[live], guess_i[live])
         step += len(sds)
         p, phi = p1[-1], phi1[-1]
         if first is None:
             continue
-        crossed = first >= 0
-        if crossed.all():               # the last live starts
-            detected[detected < 0] = first
-            break
         # the live starts are the entries still at -1, in order
         detected[detected < 0] = first
-        live = ~crossed
+        live = first < 0
         p, phi, dp, dphi, prev_sign = (
             a[live] for a in (p, phi, dp, dphi, prev_sign))
         if step < RING:

@@ -339,6 +339,41 @@ def test_block_cost_is_bounded(mode6_table, mode6_profile, monkeypatch):
     assert sum(b["jets"] for b in blocks) / solves <= 4.0
 
 
+def test_block_record_is_one_bounce_at_its_roots(mode6_table, mode6_profile,
+                                                monkeypatch):
+    # a block's p1 and S-derivatives are one bounce at its own roots, bit
+    # for bit, for the entries that fell back to float solves as for the
+    # rest.  Eight of the 14 blocks of this seed-2126 scan have an entry
+    # that falls back
+    _, delta, p, phi = scan_starts(mode6_table, mode6_profile, 256,
+                                   seed=2126)
+    inside = [False]
+    fell = []
+
+    def counted_map(spec, p, phi, guess=None):
+        if inside[0]:
+            fell[-1] = True
+        return forward_map_batch(spec, p, phi, guess)
+
+    def checked(spec, p, phi, guesses):
+        fell.append(False)
+        inside[0] = True
+        try:
+            p1, roots, sd = _block_step(spec, p, phi, guesses)
+        finally:
+            inside[0] = False
+        _, p1_b, sd_b = bounce(spec, np.concatenate((phi[None], roots[:-1])),
+                               roots)
+        for got, want in zip((p1, *sd), (p1_b, *sd_b)):
+            assert got.tobytes() == want.tobytes()
+        return p1, roots, sd
+
+    monkeypatch.setattr("billiards.beam._block_step", checked)
+    monkeypatch.setattr("billiards.beam.forward_map_batch", counted_map)
+    conjugate_scan(mode6_table, p, phi, 100, phi + 2.0 * delta)
+    assert sum(fell) == 8 and len(fell) == 14
+
+
 def test_detect_conjugate_found_on_mode6_table(mode6_table, mode6_profile):
     _, _, p, phi = scan_starts(mode6_table, mode6_profile, 64, seed=9)
     detections = conjugate_scan(mode6_table, p, phi, 2000)
@@ -574,7 +609,8 @@ def test_warm_start_flat_window_keeps_delta(with_varying):
     # a start with constant increments (flat) gets exactly 2 phi1 - phi
     # once fitted, whether or not other starts are fitted beside it; a
     # three-harmonic start gets its next phi to rounding, long after the
-    # fit
+    # fit.  The same rows recorded as a scan does, RING single rows and
+    # then blocks of BLOCK_STEPS, roll the bits of the single rows
     steps = 10 * RING
     d = _harmonic_increments((0.3, 0.1, 0.03), steps=steps + 1, starts=3)
     d[:, 0] = 1.25
@@ -583,6 +619,7 @@ def test_warm_start_flat_window_keeps_delta(with_varying):
     phis = np.concatenate([np.full((1, d.shape[1]), 0.5),
                            0.5 + np.cumsum(d, axis=0)])
     warm = _WarmStart(d.shape[1])
+    blocked = _WarmStart(d.shape[1])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for n in range(steps):
@@ -593,6 +630,14 @@ def test_warm_start_flat_window_keeps_delta(with_varying):
                 assert np.all(np.isfinite(guess))
                 assert guess[0] == 2.0 * phi1[0] - phi[0]
                 assert np.all(np.abs(guess[1:] - phis[n + 2, 1:]) <= 1e-9)
+            if n + 1 <= RING:
+                blocked.record(phi1 - phi)
+            elif (n + 1 - RING) % BLOCK_STEPS == 0:
+                first = n + 1 - BLOCK_STEPS
+                blocked.record(phis[first + 1:n + 2] - phis[first:n + 1])
+            if n + 1 >= RING and (n + 1 - RING) % BLOCK_STEPS == 0:
+                assert (blocked.roll(phi1, BLOCK_STEPS).tobytes()
+                        == warm.roll(phi1, BLOCK_STEPS).tobytes())
 
 
 @pytest.mark.parametrize("table, profile", [
