@@ -56,7 +56,7 @@ import numpy as np
 
 from .errors import GrazingRay, OutsideCylinder, SolverError
 from .profiles import _reduce, _xp
-from .supportfn import SupportSpec
+from .supportfn import SupportSpec, arclength_of_psi
 
 DELTA_MIN = 1e-9           # below this the chord solver degenerates
 RESIDUAL_TOL = 1e-12       # solver target, relative to (1 + scale)
@@ -459,8 +459,6 @@ def chart_change_determinant(spec: SupportSpec, bc: BoundaryCoord) -> float:
     divided out, so the result is the determinant of the symplectic chart
     change itself (expected 1).
     """
-    from .supportfn import arclength_of_psi
-
     psi, delta = float(bc.psi), float(bc.delta)
     eps = 1e-5
 

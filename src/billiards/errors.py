@@ -30,7 +30,7 @@ class NoRealCaustic(BilliardError):
 
 
 class SolverError(BilliardError):
-    """The root solver did not meet its floor within its iteration cap;
+    """A root or series did not converge within its iteration or grid cap;
     usually signals an invalid table or a line outside the cylinder."""
 
 

@@ -19,11 +19,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CurvatureViolation, SpecError
+from .errors import CurvatureViolation, SolverError, SpecError
 from .profiles import (AngleProfile, EllipseProfile, Profile, _reduce,
                        _series_jet, _xp, profile_from_modes)
 
 VALIDATION_GRID = 512
+# the most points arclength_of_psi samples h on
+ARCLENGTH_GRID = 2**20
 # largest |c0|, Fourier coefficient or profile radius: the reduction chain
 # works with R^4 and verify with h^2, so at 1e64 the fourth power (1e256)
 # leaves the dimensionless factors 1e52 of double range
@@ -219,14 +221,26 @@ def is_centrally_symmetric(spec: SupportSpec) -> bool:
 
 
 def arclength_of_psi(spec: SupportSpec, psi: float) -> float:
-    """Arclength s(psi) = integral of rho from 0 to psi (ds = rho dpsi)."""
-    # imported here: scipy is the slowest import of the package, and no
-    # CLI command needs arclength
-    from scipy.integrate import quad
-
-    val, _ = quad(lambda t: float(spec.jet(t).rho), 0.0, float(psi),
-                  limit=200, epsabs=1e-12, epsrel=1e-12)
-    return val
+    """Arclength s(psi) = integral of rho = h + h'' from 0 to psi, that is
+    c0 psi + sum_k (a_k sin k psi - b_k (cos k psi - 1)) / k + h'(psi) - h'(0)
+    over the rfft of h on 64 points, doubled until the top quarter of the
+    coefficients is below 1e-15 |c0|; SolverError past ARCLENGTH_GRID."""
+    psi = float(psi)
+    n = 64
+    while True:
+        psis = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+        c = np.fft.rfft(spec.jet(psis).h) / n
+        if np.max(np.abs(c[3 * n // 8:])) < 1e-15 * abs(c[0]):
+            break
+        if n == ARCLENGTH_GRID:
+            raise SolverError(f"h has no converged Fourier series on {n} points")
+        n *= 2
+    c[1:-1] *= 2.0      # a_k - i b_k; the Nyquist term counts once
+    k = np.arange(1, n // 2 + 1)
+    kt = k * _reduce(psi)       # the periodic terms; c0 psi stays lifted
+    terms = c[1:].real * np.sin(kt) + c[1:].imag * (np.cos(kt) - 1.0)
+    return (c[0].real * psi + float(np.sum(terms / k))
+            + spec.jet(psi).dh - spec.jet(0.0).dh)
 
 
 def perimeter(spec: SupportSpec) -> float:

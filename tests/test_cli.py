@@ -5,7 +5,6 @@ import json
 import math
 import os
 import struct
-import subprocess
 import sys
 import tempfile
 import warnings
@@ -16,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import billiards
 from billiards import cli
 from billiards.billmap import BoundaryCoord, boundary_point, chart_to_line, \
     geometric_reflect
@@ -592,19 +590,6 @@ def test_beam_scan_ignores_billiard_threads(mode6_spec, tmp_path, monkeypatch):
         blobs[value] = path.read_bytes()
     assert blobs["4"] == blobs[None] and blobs["abc"] == blobs[None]
     assert json.loads(blobs[None])["threads"] == 1
-
-
-def test_cli_import_does_not_load_scipy():
-    # only arclength needs scipy; importing it would dominate the start-up
-    # of every command
-    src = str(Path(billiards.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, billiards.cli; print('scipy' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == "False\n"
 
 
 # --- the exit-code contract on usage errors and on any input ----------------

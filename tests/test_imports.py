@@ -1,7 +1,9 @@
-"""The package's import graph: `import billiards` loads no submodule, and
-each command loads only the modules it runs.  Module loads are read from
-`sys.modules` in a fresh interpreter."""
+"""The package's import graph: `import billiards` loads no submodule, each
+command loads only the modules it runs, and numpy is the only third-party
+module the package imports.  Module loads are read from `sys.modules` in a
+fresh interpreter."""
 
+import ast
 import importlib
 import json
 import os
@@ -17,6 +19,8 @@ import billiards
 SRC = str(Path(billiards.__file__).resolve().parent.parent)
 # what every command loads with billiards.cli
 CLI = {"cli", "errors", "profiles", "supportfn"}
+# a None entry makes any import of scipy raise ImportError
+NO_SCIPY = "import sys\nsys.modules['scipy'] = None\n"
 
 
 def _loaded(code: str) -> set[str]:
@@ -56,9 +60,33 @@ def test_command_loads_only_what_it_runs(tmp_path, argv, runs):
     spec.write_text(json.dumps({"type": "profile", "R": 1.0,
                                 "d_modes": [[2, 0.1, 0], [6, 0.02, 0]]}))
     argv = [str(spec) if a == "{spec}" else a for a in argv]
-    code = ("from billiards.cli import main\n"
+    code = (NO_SCIPY + "from billiards.cli import main\n"
             f"assert main({argv!r}) == 0")
     assert _loaded(code) == CLI | runs
+
+
+def test_arclength_callers_run_without_scipy():
+    code = NO_SCIPY + """
+from billiards.billmap import BoundaryCoord, chart_change_determinant
+from billiards.supportfn import arclength_of_psi, ellipse_support, perimeter
+spec = ellipse_support(2.0, 1.0)
+assert 0.0 < arclength_of_psi(spec, 1.0) < perimeter(spec)
+assert abs(chart_change_determinant(spec, BoundaryCoord(0.4, 0.9)) - 1) < 1e-6
+"""
+    assert _loaded(code) == {"billmap", "errors", "profiles", "supportfn"}
+
+
+def test_package_imports_no_third_party_module_but_numpy():
+    # every import statement, function-local ones included
+    modules = set()
+    for path in Path(SRC, "billiards").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules.add(node.module)
+    top = {name.split(".")[0] for name in modules}
+    assert top - set(sys.stdlib_module_names) == {"numpy"}
 
 
 def test_public_names_are_their_modules_objects():

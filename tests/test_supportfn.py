@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from billiards.errors import CurvatureViolation
+from billiards.errors import CurvatureViolation, SolverError
 from billiards.profiles import AngleProfile, ellipse_profile
 from billiards.supportfn import (FourierTable, Jet2, arclength_of_psi,
                                  ellipse_support, is_centrally_symmetric,
@@ -112,6 +112,44 @@ def test_ellipse_perimeter_against_independent_quadrature(ellipse21):
     value = perimeter(ellipse21)
     assert value == pytest.approx(oracle, abs=1e-9)
     assert value == pytest.approx(ELLIPSE21_PERIMETER, abs=1e-9)
+
+
+@pytest.fixture
+def ellipse101():
+    return ellipse_support(10.0, 1.0)
+
+
+@pytest.fixture
+def digest_fourier():
+    # the Fourier table of scripts/output_digest.py
+    return FourierTable(1.0, (0.0, 0.1, 0.0, 0.02), (0.0, 0.03))
+
+
+@pytest.mark.parametrize("spec_name", ["circle", "ellipse21", "ellipse101",
+                                       "profile_a_table", "mode6_table",
+                                       "digest_fourier"])
+def test_arclength_matches_quadrature_of_rho(spec_name, request):
+    # quad of rho is independent of the Fourier route; the angles include
+    # lifts on both sides of [0, 2pi]
+    spec = request.getfixturevalue(spec_name)
+    for psi in (-1.0, 0.5, 2.0, math.pi, 5.0, 2 * math.pi + 1.0, 7.5, 20.0):
+        oracle = quad(lambda t: spec.jet(t).rho, 0.0, psi, limit=200,
+                      epsabs=3e-14, epsrel=3e-14)[0]
+        assert arclength_of_psi(spec, psi) == pytest.approx(oracle, rel=1e-13)
+
+
+@pytest.mark.parametrize("make", [
+    # quad returned a perimeter of 625628 here with only a warning; the
+    # series needs some 10^7 harmonics
+    lambda: ellipse_support(1e6, 1.0),
+    # harmonics above the 2^20 grid's Nyquist 2^19, placed so that every
+    # grid from 64 to 2^20 points folds one of them into its top quarter
+    lambda: table_from_profile(AngleProfile(
+        ((2, 0.1, 0.0), (629146, 1e-13, 0.0), (734002, 1e-13, 0.0))), 1.0),
+], ids=["ellipse_1e6", "unresolved_profile"])
+def test_arclength_unresolved_series_raises(make):
+    with pytest.raises(SolverError, match="on 1048576 points"):
+        perimeter(make())
 
 
 def test_arclength_monotone_and_symmetric(ellipse21):
