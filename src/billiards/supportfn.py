@@ -24,8 +24,7 @@ from .profiles import (AngleProfile, EllipseProfile, Profile, _reduce,
                        _series_jet, _xp, profile_from_modes)
 
 VALIDATION_GRID = 512
-# the most points arclength_of_psi samples h on
-ARCLENGTH_GRID = 2**20
+ARCLENGTH_GRID = 2**20     # the most points arclength_of_psi samples h on
 # largest |c0|, Fourier coefficient or profile radius: the reduction chain
 # works with R^4 and verify with h^2, so at 1e64 the fourth power (1e256)
 # leaves the dimensionless factors 1e52 of double range
@@ -221,25 +220,26 @@ def is_centrally_symmetric(spec: SupportSpec) -> bool:
 
 
 def arclength_of_psi(spec: SupportSpec, psi: float) -> float:
-    """Arclength s(psi) = integral of rho = h + h'' from 0 to psi, that is
-    c0 psi + sum_k (a_k sin k psi - b_k (cos k psi - 1)) / k + h'(psi) - h'(0)
-    over the rfft of h on 64 points, doubled until the top quarter of the
-    coefficients is below 1e-15 |c0|; SolverError past ARCLENGTH_GRID."""
-    psi = float(psi)
-    n = 64
+    """s(psi) = integral of rho = h + h'' from 0 to psi = c0 psi + sum_k (a_k
+    sin k psi - b_k (cos k psi - 1)) / k + h'(psi) - h'(0), from the rfft c of
+    h on 64, 128, ... points until resolved; SolverError past ARCLENGTH_GRID."""
+    psi, n = float(psi), 64
     while True:
-        psis = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-        c = np.fft.rfft(spec.jet(psis).h) / n
-        if np.max(np.abs(c[3 * n // 8:])) < 1e-15 * abs(c[0]):
+        jet = spec.jet(np.linspace(0.0, 2.0 * math.pi, n, endpoint=False))
+        c, dc, rc = (np.fft.rfft(f) / n for f in (jet.h, jet.dh, jet.rho))
+        k = np.arange(n // 2 + 1)
+        # resolved: c's top quarter and every aliased |c_j| below 1e-15 |c0|;
+        # h' and rho fold j > n/2 onto k with weights j, 1 - j^2 (not k, 1 - k^2)
+        alias = np.abs(dc - 1j * k * c) / n + np.abs(rc - (1 - k * k) * c) / n**2
+        if max(np.max(alias), np.max(np.abs(c[3 * n // 8:]))) < 1e-15 * abs(c[0]):
             break
         if n == ARCLENGTH_GRID:
             raise SolverError(f"h has no converged Fourier series on {n} points")
         n *= 2
     c[1:-1] *= 2.0      # a_k - i b_k; the Nyquist term counts once
-    k = np.arange(1, n // 2 + 1)
-    kt = k * _reduce(psi)       # the periodic terms; c0 psi stays lifted
+    kt = k[1:] * _reduce(psi)       # the periodic terms; c0 psi stays lifted
     terms = c[1:].real * np.sin(kt) + c[1:].imag * (np.cos(kt) - 1.0)
-    return (c[0].real * psi + float(np.sum(terms / k))
+    return (c[0].real * psi + float(np.sum(terms / k[1:]))
             + spec.jet(psi).dh - spec.jet(0.0).dh)
 
 

@@ -125,9 +125,22 @@ def digest_fourier():
     return FourierTable(1.0, (0.0, 0.1, 0.0, 0.02), (0.0, 0.03))
 
 
+@pytest.fixture
+def cos62():
+    # the 64-point grid folds harmonic 62 onto 2, below its top quarter
+    return FourierTable(1.0, (0.0,) * 61 + (1e-4,))
+
+
+@pytest.fixture
+def sin32():
+    # sin 32 psi vanishes on the 64-point grid in h and in rho; only h'
+    # shows it there
+    return FourierTable(1.0, (), (0.0,) * 31 + (1e-4,))
+
+
 @pytest.mark.parametrize("spec_name", ["circle", "ellipse21", "ellipse101",
                                        "profile_a_table", "mode6_table",
-                                       "digest_fourier"])
+                                       "digest_fourier", "cos62", "sin32"])
 def test_arclength_matches_quadrature_of_rho(spec_name, request):
     # quad of rho is independent of the Fourier route; the angles include
     # lifts on both sides of [0, 2pi]
@@ -142,14 +155,23 @@ def test_arclength_matches_quadrature_of_rho(spec_name, request):
     # quad returned a perimeter of 625628 here with only a warning; the
     # series needs some 10^7 harmonics
     lambda: ellipse_support(1e6, 1.0),
-    # harmonics above the 2^20 grid's Nyquist 2^19, placed so that every
-    # grid from 64 to 2^20 points folds one of them into its top quarter
+    # a harmonic above the 2^20 grid's Nyquist 2^19, which the 64-point
+    # grid folds onto k = 2
     lambda: table_from_profile(AngleProfile(
-        ((2, 0.1, 0.0), (629146, 1e-13, 0.0), (734002, 1e-13, 0.0))), 1.0),
+        ((2, 0.1, 0.0), (600002, 1e-13, 0.0))), 1.0),
 ], ids=["ellipse_1e6", "unresolved_profile"])
 def test_arclength_unresolved_series_raises(make):
     with pytest.raises(SolverError, match="on 1048576 points"):
         perimeter(make())
+
+
+@pytest.mark.parametrize("harmonic", [64, 128])
+def test_perimeter_sees_harmonic_aliased_onto_mean(harmonic):
+    # cos k psi is 1 on every grid of k or k/2 points, where h looks like
+    # the constant 1 + 1e-4; the weights k and 1 - k^2 of h' and rho give
+    # it away. The term integrates to 0 over a period.
+    spec = FourierTable(1.0, (0.0,) * (harmonic - 1) + (1e-4,))
+    assert perimeter(spec) == pytest.approx(2 * math.pi, rel=1e-13)
 
 
 def test_arclength_monotone_and_symmetric(ellipse21):
