@@ -21,7 +21,8 @@ The blocks are warm-started by linear prediction of each start's angle
 increments: on an invariant curve, the foliation the paper assumes below
 the 4-periodic curve, they are quasi-periodic and satisfy a linear
 recurrence with constant coefficients, fitted once per start to its
-first RING increments (see the constants below).
+first RING increments (see the constants below).  Each live start's
+state is one column of a _Scan, whose keep alone drops starts.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .billmap import (_FLOOR, DELTA_MIN, RESIDUAL_TOL, LineCoord,
-                      SDerivatives, _check_inside, bounce, forward_map,
-                      forward_map_batch, s_derivatives)
+from .billmap import (DELTA_MIN, LineCoord, SDerivatives, _check_inside,
+                      _done, bounce, forward_map, forward_map_batch,
+                      s_derivatives)
 from .errors import MonotonicityBreak
 from .supportfn import SupportSpec
 
@@ -169,13 +170,19 @@ def _fit(ring):
     return (*_predictors(ring), flat)
 
 
-class _WarmStart:
-    """The block guesses of conjugate_scan: the last RING increments of
-    its live starts, and the predictor row fitted once, to each start's
-    first RING of them."""
+class _Scan:
+    """The live starts of conjugate_scan, each array with the starts on
+    its last axis: the lines (p, phi) the next step maps, the pushed
+    vector (dp, dphi) and the sign of its dphi, the guesses of the next
+    single step's images (None for a cold first step), the last RING
+    angle increments, and the predictor row (row, const, flat) fitted
+    once, to each start's first RING of them."""
 
-    def __init__(self, n):
-        self.ring = np.zeros((0, n))
+    def __init__(self, p, phi, guess):
+        self.p, self.phi, self.guess = p, phi, guess
+        self.dp, self.dphi = np.ones_like(p), np.zeros_like(p)
+        self.sign = self.dphi
+        self.ring = np.zeros((0, len(p)))
         self.row = self.const = self.flat = None
 
     def record(self, rows):
@@ -188,8 +195,8 @@ class _WarmStart:
         if fill < RING == len(self.ring):
             self.row, self.const, self.flat = _fit(self.ring)
 
-    def roll(self, phi, k):
-        """Guesses (k, starts) for the next k lines after phi, from step
+    def roll(self, k):
+        """Guesses (k, starts) for the next k angles after phi, from step
         RING on: the fitted row extends the increments by its own
         predictions, each clipped to the range of the last RING increments
         widened by SPAN of it on either side.  On an invariant curve the
@@ -199,7 +206,7 @@ class _WarmStart:
         increment outside (2 DELTA_MIN, 2 (pi - DELTA_MIN)), which no
         bounce has."""
         last = self.ring[-1]
-        incs = np.broadcast_to(last, (k, len(phi)))
+        incs = np.broadcast_to(last, (k, len(self.phi)))
         if self.row is not None:
             window = list(self.ring[-6:])
             for _ in range(k):
@@ -212,14 +219,15 @@ class _WarmStart:
                                  & (fitted < 2.0 * (math.pi - DELTA_MIN))
                                  ).all(axis=0)
             incs = np.where(keep, fitted, last)
-        return phi + np.cumsum(incs, axis=0)
+        return self.phi + np.cumsum(incs, axis=0)
 
     def keep(self, live):
-        """Drop the starts where live is False."""
-        self.ring = self.ring[:, live]
-        if self.row is not None:
-            self.row, self.const = self.row[:, live], self.const[live]
-            self.flat = self.flat[live]
+        """Drop the starts where live is False from every array held: the
+        one place where starts leave the scan."""
+        index = np.flatnonzero(live)
+        for name, a in vars(self).items():
+            if a is not None:
+                setattr(self, name, a.take(index, axis=-1))
 
 
 def _block_step(spec: SupportSpec, p, phi, guesses):
@@ -234,8 +242,7 @@ def _block_step(spec: SupportSpec, p, phi, guesses):
     twist, positive) and dG_i/du_i = S22_{i-1} + S11_i,
     dG_i/du_{i-1} = S12_{i-1} below it, so each Newton round is one jet
     of all k bounces (billmap.bounce) and a forward substitution.  Each
-    equation is done by _solve_increasing's test,
-    |G_i| <= RESIDUAL_TOL (1 + |p_i|) plus the floor, p_i the momentum of
+    equation is done by billmap._done with scale |p_i|, the momentum of
     the line it maps; an entry takes its last update once all k are, then
     freezes.  Entries that are done drop out of the rounds.
 
@@ -271,8 +278,7 @@ def _block_step(spec: SupportSpec, p, phi, guesses):
         # the momentum of each line a bounce maps
         line_p = np.concatenate((p0[None], p_out[:-1]))
         g = line_p - p_in
-        done = (np.abs(g) <= RESIDUAL_TOL * (1.0 + np.abs(line_p))
-                + _FLOOR * (1.0 + np.abs(x[1:])) * np.abs(sd.s12)).all(axis=0)
+        done = _done(np.abs(g), np.abs(line_p), x[1:], sd.s12).all(axis=0)
         # Newton: forward substitution through the lower-banded Jacobian
         # for the step -du, S12_i du_i =
         # G_i - (S22_{i-1} + S11_i) du_{i-1} - S12_{i-1} du_{i-2}
@@ -383,7 +389,7 @@ def conjugate_scan(spec: SupportSpec, p0, phi0, max_steps: int,
     records their increments, and pushes the vector row by row, where a
     start that crosses records the step of its first crossing.  Only
     live starts are stepped: a start that crosses leaves the batch at
-    the end of its step or block, with its increments and fitted row,
+    the end of its step or block, with its whole column of the _Scan,
     and the scan ends when none is left.  Every step works entry by entry,
     so the result is the same as stepping all starts to the end, a float
     start gets the step of its array entry, and a start that has crossed
@@ -400,25 +406,24 @@ def conjugate_scan(spec: SupportSpec, p0, phi0, max_steps: int,
             raise ValueError(f"guess of shape {np.shape(guess)} for starts "
                              f"of shape {np.shape(p0)}")
         guess = np.atleast_1d(np.asarray(guess, float))
-    dp, dphi = np.ones_like(p), np.zeros_like(p)
-    prev_sign = dphi
+    scan = _Scan(p, phi, guess)
     detected = np.full(p.shape, -1)
-    warm = _WarmStart(len(p))
     step = 0
-    while step < max_steps and p.size:
+    while step < max_steps and scan.p.size:
         # the step's lines as a block of rows, one row for a single step
         if step < RING:
-            p1, phi1, sd = forward_map_batch(spec, p, phi, guess)
-            guesses, sds = (guess,), (sd,)
-            guess = 2.0 * phi1 - phi
+            p1, phi1, sd = forward_map_batch(spec, scan.p, scan.phi,
+                                             scan.guess)
+            guesses, sds = (scan.guess,), (sd,)
+            scan.guess = 2.0 * phi1 - scan.phi
             p1, phi1 = p1[None], phi1[None]
         else:
-            guesses = warm.roll(phi, min(BLOCK_STEPS, max_steps - step))
-            p1, phi1, sd = _block_step(spec, p, phi, guesses)
+            guesses = scan.roll(min(BLOCK_STEPS, max_steps - step))
+            p1, phi1, sd = _block_step(spec, scan.p, scan.phi, guesses)
             sds = [SDerivatives(*row) for row in zip(*sd)]
-        mapped = np.concatenate((phi[None], phi1[:-1]))
+        mapped = np.concatenate((scan.phi[None], phi1[:-1]))
         if step + len(phi1) < max_steps:    # no fit for a scan that ends here
-            warm.record(phi1 - mapped)
+            scan.record(phi1 - mapped)
         first = None        # the step of each start's first crossing, or -1
         for i, sd in enumerate(sds):
             seen = mapped[i], guesses[i]
@@ -428,29 +433,24 @@ def conjugate_scan(spec: SupportSpec, p0, phi0, max_steps: int,
                     break
                 seen = (a[live] for a in seen)
             _scan_step(*seen)
-            dp, dphi = _push(sd, dp, dphi)
+            dp, dphi = _push(sd, scan.dp, scan.dphi)
             norm = np.maximum(np.abs(dp), np.abs(dphi))
-            dp, dphi = dp / norm, dphi / norm
-            sign = np.sign(dphi)
+            scan.dp, scan.dphi = dp / norm, dphi / norm
+            sign = np.sign(scan.dphi)
             if step + i >= 1:
-                crossing = (sign == 0.0) | (sign * prev_sign < 0.0)
+                crossing = (sign == 0.0) | (sign * scan.sign < 0.0)
                 if crossing.any():
                     at = step + i + 1
                     first = np.where(crossing, at, -1) if first is None \
                         else np.where((first < 0) & crossing, at, first)
-            prev_sign = sign
+            scan.sign = sign
         step += len(sds)
-        p, phi = p1[-1], phi1[-1]
+        scan.p, scan.phi = p1[-1], phi1[-1]
         if first is None:
             continue
         # the live starts are the entries still at -1, in order
         detected[detected < 0] = first
-        live = first < 0
-        p, phi, dp, dphi, prev_sign = (
-            a[live] for a in (p, phi, dp, dphi, prev_sign))
-        if step < RING:
-            guess = guess[live]
-        warm.keep(live)
+        scan.keep(first < 0)
     return int(detected[0]) if one else detected
 
 

@@ -211,7 +211,7 @@ def half_turn(line: LineCoord) -> LineCoord:
 # An array of at least COMPACT_SIZE entries compacts its batch: once at
 # least half of the entries still carried are frozen, their final x goes
 # to the output and the iteration goes on with the live entries alone,
-# their bracket, tolerance, last residual and the residual's entrywise
+# their bracket, scale, last residual and the residual's entrywise
 # operands.  Every step acts entry by entry, so a live entry takes the
 # same steps, with the same bits, in a batch of any composition.  Smaller
 # batches (the 256-start scan steps, the 64-start Poncelet launch) carry
@@ -230,6 +230,14 @@ _FLOOR = 32.0 * _EPS
 COMPACT_SIZE = 1024        # smallest array solve that drops frozen entries
 
 
+def _done(res, scale, x, slope):
+    """The solvers' stopping test, on floats or entrywise on arrays: the
+    residual res at x, where the residual has the given slope, is within
+    RESIDUAL_TOL (1 + scale) plus the floor."""
+    return res <= (RESIDUAL_TOL * (1.0 + scale)
+                   + _FLOOR * (1.0 + abs(x)) * abs(slope))
+
+
 def _solve_increasing(fdf, lo, hi, scale, guess=None, operands=()):
     """Root of f, increasing on [lo, hi], where fdf(x, operands) =
     (f(x), f'(x)) and operands is a tuple of entrywise arrays (or floats)
@@ -237,14 +245,13 @@ def _solve_increasing(fdf, lo, hi, scale, guess=None, operands=()):
     and of each operand.
 
     Starts at guess (the midpoint when absent or outside the bracket); an
-    entry is done once |f| <= RESIDUAL_TOL (1 + scale) plus the floor,
-    which on a monotone f certifies the unique root.  Raises SolverError
-    when an entry is not done after MAX_ITERATIONS evaluations."""
+    entry is done once _done(|f|, scale, x, f'), which on a monotone f
+    certifies the unique root.  Raises SolverError when an entry is not
+    done after MAX_ITERATIONS evaluations."""
     xp = _xp(lo)
     x = 0.5 * (lo + hi)
     if guess is not None:
         x = xp.where((lo < guess) & (guess < hi), guess, x)
-    tol = RESIDUAL_TOL * (1.0 + scale)
     frozen = False
     last = math.inf
     compact = xp is np and x.size >= COMPACT_SIZE
@@ -262,14 +269,14 @@ def _solve_increasing(fdf, lo, hi, scale, guess=None, operands=()):
             else:
                 flat[index[frozen]] = x[frozen]
                 index = index[keep]
-            x, lo, hi, tol, last, *operands = (
+            x, lo, hi, scale, last, *operands = (
                 np.broadcast_to(a, keep.shape)[keep]
-                for a in (x, lo, hi, tol, last, *operands))
+                for a in (x, lo, hi, scale, last, *operands))
             operands = tuple(operands)
             frozen = False
         fx, slope = fdf(x, operands)
         res = abs(fx)
-        met = res <= tol + _FLOOR * (1.0 + abs(x)) * abs(slope)
+        met = _done(res, scale, x, slope)
         step = x - fx / slope
         lo = xp.where(fx < 0.0, x, lo)
         hi = xp.where(fx > 0.0, x, hi)
@@ -439,17 +446,23 @@ def geometric_reflect(spec: SupportSpec, start_psi, delta) -> BoundaryCoord:
 # --- symplecticity checks ----------------------------------------------------
 
 
+def _fd_det(fun, a, b, eps):
+    """Central finite-difference Jacobian determinant of (u, v) = fun(a, b)
+    with step eps.  fun is evaluated once, on the four stencils stacked
+    along a new first axis: a +/- eps, then b +/- eps."""
+    (ua, ua_, ub, ub_), (va, va_, vb, vb_) = fun(
+        np.stack([a + eps, a - eps, a, a]), np.stack([b, b, b + eps, b - eps]))
+    return ((ua - ua_) * (vb - vb_) - (ub - ub_) * (va - va_)) \
+        / (4 * eps * eps)
+
+
 def jacobian_check_batch(spec: SupportSpec, p, phi):
     """Central finite-difference Jacobian determinant of forward_map_batch
     (step 1e-6), on floats or entrywise on arrays.  The four stencils are
-    one solve, stacked along a new first axis; the solve is entrywise, so
-    each keeps the bits of its own solve."""
-    eps = 1e-6
-    (pp_p, pp_m, fp_p, fp_m), (pf_p, pf_m, ff_p, ff_m), _ = forward_map_batch(
-        spec, np.stack([p + eps, p - eps, p, p]),
-        np.stack([phi, phi, phi + eps, phi - eps]))
-    return ((pp_p - pp_m) * (ff_p - ff_m) - (fp_p - fp_m) * (pf_p - pf_m)) \
-        / (4 * eps * eps)
+    one solve (_fd_det); the solve is entrywise, so each keeps the bits of
+    its own solve."""
+    return _fd_det(lambda p, phi: forward_map_batch(spec, p, phi)[:2],
+                   p, phi, 1e-6)
 
 
 def chart_change_determinant(spec: SupportSpec, bc: BoundaryCoord) -> float:
@@ -460,24 +473,9 @@ def chart_change_determinant(spec: SupportSpec, bc: BoundaryCoord) -> float:
     change itself (expected 1).
     """
     psi, delta = float(bc.psi), float(bc.delta)
-    eps = 1e-5
-
-    def pf(ps, de):
-        lc = chart_to_line(spec, BoundaryCoord(ps, de))
-        return lc.p, lc.phi
 
     def cs(ps, de):
-        return math.cos(de), arclength_of_psi(spec, ps)
+        return np.cos(de), [arclength_of_psi(spec, s) for s in ps]
 
-    def fd_det(fun):
-        a_p, b_p = fun(psi + eps, delta)
-        a_m, b_m = fun(psi - eps, delta)
-        a_q, b_q = fun(psi, delta + eps)
-        a_n, b_n = fun(psi, delta - eps)
-        da_dpsi = (a_p - a_m) / (2 * eps)
-        db_dpsi = (b_p - b_m) / (2 * eps)
-        da_ddelta = (a_q - a_n) / (2 * eps)
-        db_ddelta = (b_q - b_n) / (2 * eps)
-        return da_dpsi * db_ddelta - da_ddelta * db_dpsi
-
-    return fd_det(pf) / fd_det(cs)
+    return float(_fd_det(lambda ps, de: chart_to_line(spec, (ps, de)),
+                         psi, delta, 1e-5) / _fd_det(cs, psi, delta, 1e-5))

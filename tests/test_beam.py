@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from billiards.beam import (BLOCK_ROUNDS, BLOCK_STEPS, RING, TangentVector,
-                            _block_step, _fit, _predictors, _WarmStart,
+                            _block_step, _fit, _predictors, _Scan,
                             conjugate_scan, monotone_bounds, orbit_lines,
                             push_tangent, riccati_step)
 from billiards.billmap import (BoundaryCoord, LineCoord, SDerivatives,
@@ -597,11 +597,11 @@ def test_fit_empty_window():
         assert _fit(np.empty((RING, 0))) == (None, None, None)
         row, const = _predictors(np.empty((RING, 0)))
         assert row.shape == (6, 0) and const.shape == (0,)
-        warm = _WarmStart(0)
+        warm = _Scan(np.empty(0), np.empty(0), None)
         for n in range(2 * RING + 1):
             warm.record(np.empty(0))
             if n + 1 >= RING:
-                assert warm.roll(np.empty(0), 1)[0].shape == (0,)
+                assert warm.roll(1)[0].shape == (0,)
 
 
 @pytest.mark.parametrize("with_varying", [True, False])
@@ -618,15 +618,16 @@ def test_warm_start_flat_window_keeps_delta(with_varying):
         d = d[:, :1]
     phis = np.concatenate([np.full((1, d.shape[1]), 0.5),
                            0.5 + np.cumsum(d, axis=0)])
-    warm = _WarmStart(d.shape[1])
-    blocked = _WarmStart(d.shape[1])
+    warm = _Scan(np.zeros_like(phis[0]), phis[0], None)
+    blocked = _Scan(np.zeros_like(phis[0]), phis[0], None)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for n in range(steps):
             phi, phi1 = phis[n], phis[n + 1]
             warm.record(phi1 - phi)
+            warm.phi = blocked.phi = phi1
             if n + 1 >= RING:
-                guess = warm.roll(phi1, 1)[0]
+                guess = warm.roll(1)[0]
                 assert np.all(np.isfinite(guess))
                 assert guess[0] == 2.0 * phi1[0] - phi[0]
                 assert np.all(np.abs(guess[1:] - phis[n + 2, 1:]) <= 1e-9)
@@ -636,8 +637,32 @@ def test_warm_start_flat_window_keeps_delta(with_varying):
                 first = n + 1 - BLOCK_STEPS
                 blocked.record(phis[first + 1:n + 2] - phis[first:n + 1])
             if n + 1 >= RING and (n + 1 - RING) % BLOCK_STEPS == 0:
-                assert (blocked.roll(phi1, BLOCK_STEPS).tobytes()
-                        == warm.roll(phi1, BLOCK_STEPS).tobytes())
+                assert (blocked.roll(BLOCK_STEPS).tobytes()
+                        == warm.roll(BLOCK_STEPS).tobytes())
+
+
+def test_scan_keep_drops_every_field():
+    # a scan of 8 fitted starts that keeps some of them holds the bytes of
+    # a scan that recorded only those: every field, and the guesses it rolls
+    d = _harmonic_increments((0.3, 0.1, 0.03), steps=RING + 1)
+    rng = np.random.default_rng(5)
+    p, phi, guess, dp, dphi, sign = rng.standard_normal((6, d.shape[1]))
+    live = np.array([True, False, False, True, True, False, True, False])
+    scans = []
+    for cols in (slice(None), live):
+        scan = _Scan(p[cols], phi[cols], guess[cols])
+        scan.dp, scan.dphi, scan.sign = dp[cols], dphi[cols], sign[cols]
+        for row in d[:, cols]:
+            scan.record(row)
+        scans.append(scan)
+    whole, kept = scans
+    assert whole.row is not None and not whole.flat.any()
+    whole.keep(live)
+    assert vars(whole).keys() == vars(kept).keys()
+    for name, field in vars(kept).items():
+        assert vars(whole)[name].tobytes() == field.tobytes(), name
+    assert (whole.roll(BLOCK_STEPS).tobytes()
+            == kept.roll(BLOCK_STEPS).tobytes())
 
 
 @pytest.mark.parametrize("table, profile", [
