@@ -20,15 +20,20 @@ cold, as the tests of `tests/test_beam.py` do, and prints:
 
 For the mode-6 table it then prints, for each `N`, the fallback solves
 grouped by the step at which their block starts (`step:solves`, a block
-at step `s` solving the bounces of steps `s + 1` on).
+at step `s` solving the bounces of steps `s + 1` on).  Last it prints the
+scan's traced peak per start, as `test_scan_peak_memory_per_start`
+measures it: 4096 seed-42 starts of the ellipse table, 40 steps, its
+tracemalloc peak over the second of two runs.
 
-Counts do not depend on the machine's speed, only on the numerics.
+Counts do not depend on the machine's speed, only on the numerics; the
+peak depends on them and on numpy's allocations.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -40,6 +45,7 @@ from workloads import TABLE_SPECS  # noqa: E402
 STARTS, SEED = 256, 42
 STEPS = (100, 1000, 10000)
 BY_BLOCK = "mode6"      # the table whose fallbacks are grouped by block
+PEAK_TABLE, PEAK_STARTS, PEAK_STEPS = "ellipse", 4096, 40   # memory gate
 
 
 def counts(spec, steps: int) -> dict[str, float]:
@@ -107,6 +113,25 @@ def counts(spec, steps: int) -> dict[str, float]:
             "by_block": sorted(by_block.items())}
 
 
+def peak_per_start(spec) -> float:
+    """Traced peak bytes per start of the memory gate's scan, after one
+    untraced run of it."""
+    from billiards import beam
+    from billiards.fourperiodic import table_profile
+    from billiards.sampling import scan_starts
+
+    _, delta, p, phi = scan_starts(spec, table_profile(spec), PEAK_STARTS,
+                                   SEED)
+    beam.conjugate_scan(spec, p, phi, PEAK_STEPS, phi + 2.0 * delta)
+    tracemalloc.start()
+    try:
+        beam.conjugate_scan(spec, p, phi, PEAK_STEPS, phi + 2.0 * delta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / PEAK_STARTS
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src",
@@ -130,6 +155,9 @@ def main(argv=None) -> int:
     print(f"\n{BY_BLOCK} fallback solves by block start step (step:solves)")
     for steps, groups in by_block.items():
         print(f"{steps:6d} " + " ".join(f"{at}:{n}" for at, n in groups))
+    peak = peak_per_start(table_from_dict(TABLE_SPECS[PEAK_TABLE]))
+    print(f"\ntraced peak per start, {PEAK_TABLE} {PEAK_STARTS} starts x "
+          f"{PEAK_STEPS} steps: {peak:.0f} B")
     return 0
 
 

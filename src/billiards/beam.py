@@ -98,12 +98,14 @@ def monotone_bounds(spec: SupportSpec, prev: LineCoord, cur: LineCoord,
 # below PREFER times the K = 1 residual.  A block's guesses roll the row
 # over its own predictions.  When the increments barely vary (the circle's
 # are constant) the coefficients are undetermined and a block repeats the
-# last increment (delta conserved).
+# last increment (delta conserved).  Longer blocks take fewer jet calls
+# per step on long scans; 10 bounces is the longest block whose roots stay
+# within 19 rounding units of single steps (12 reach 20.4).
 FLAT = 1e-12        # squared range of D_n over its square that counts as flat
 RING = 16           # increments per fit, and single steps before the blocks
 PREFER = 0.3        # rms residual ratio below which K = 3 is used
 RIDGE = 1e-13       # diagonal load of a fit, relative to its trace
-BLOCK_STEPS = 6     # bounces per block solve after the first RING steps
+BLOCK_STEPS = 10    # bounces per block solve after the first RING steps
 BLOCK_ROUNDS = 8    # Newton rounds before a block entry falls back
 BLOCK_HALVINGS = 8  # halvings of a block update that leaves the floor
 SPAN = 0.1          # margin of a rolled increment beyond the range of the
@@ -291,6 +293,8 @@ def _block_step(spec: SupportSpec, p, phi, guesses):
             if i >= 2:
                 r = r - sd.s12[i - 1] * du[i - 2]
             np.divide(r, sd.s12[i], out=du[i])
+        # drop the round's bounce before the next one makes its own
+        del p_in, p_out, sd, line_p, g, below
         x[1:] -= du
         ok = _inside(x)
         if not ok.all():
@@ -319,7 +323,7 @@ def _block_step(spec: SupportSpec, p, phi, guesses):
     if fallback.any():
         # one entry at a time, as floats: a float solve has the bits of its
         # entry in an array solve at about a tenth of the cost of a
-        # one-entry array solve, and entries fall back one or two per block
+        # one-entry array solve, and entries fall back a few per block
         fell = np.flatnonzero(fallback)
         for j, near in zip(fell, _inside(lines[:, fell])):
             line_p, line_phi = float(p[j]), float(phi[j])
@@ -382,7 +386,10 @@ def conjugate_scan(spec: SupportSpec, p0, phi0, max_steps: int,
     After RING steps the scan advances in blocks of BLOCK_STEPS bounces
     (fewer at the end), one _block_step each: the row, rolled forward over
     its own predictions, guesses the block's angles, and Newton rounds
-    on the block's Euler-Lagrange equations solve them together.
+    on the block's Euler-Lagrange equations solve them together.  The
+    single steps' guess is not kept past them, and the block's arrays are
+    dropped before the next block is solved, so the scan holds one block
+    at a time.
 
     Either phase gives rows (p1, phi1, S-derivatives), one per bounce (a
     single step is a block of one row), and one loop takes them: it
@@ -415,7 +422,8 @@ def conjugate_scan(spec: SupportSpec, p0, phi0, max_steps: int,
             p1, phi1, sd = forward_map_batch(spec, scan.p, scan.phi,
                                              scan.guess)
             guesses, sds = (scan.guess,), (sd,)
-            scan.guess = 2.0 * phi1 - scan.phi
+            # delta conserved; the blocks roll their own guesses
+            scan.guess = 2.0 * phi1 - scan.phi if step + 1 < RING else None
             p1, phi1 = p1[None], phi1[None]
         else:
             guesses = scan.roll(min(BLOCK_STEPS, max_steps - step))
@@ -445,7 +453,9 @@ def conjugate_scan(spec: SupportSpec, p0, phi0, max_steps: int,
                         else np.where((first < 0) & crossing, at, first)
             scan.sign = sign
         step += len(sds)
-        scan.p, scan.phi = p1[-1], phi1[-1]
+        # copies, so the block's (k, starts) arrays go before the next block
+        scan.p, scan.phi = p1[-1].copy(), phi1[-1].copy()
+        del p1, phi1, sd, sds, mapped, guesses, seen
         if first is None:
             continue
         # the live starts are the entries still at -1, in order

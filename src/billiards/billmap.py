@@ -126,10 +126,16 @@ def _bounce(jet, delta, xp):
     """
     p, s12, (s, c, base, swing) = _incoming(jet, delta, xp)
     h, dh, ddh = jet
+    # each part is dropped once used, so a batched bounce holds fewer of
+    # its (k, starts) arrays at once
+    del jet
+    p1 = base + swing
+    del base, swing
     half_diff = 0.5 * (ddh - h) * s
+    del ddh, h, s
     tilt = dh * c
-    return p, base + swing, SDerivatives(half_diff - tilt, s12,
-                                         half_diff + tilt)
+    del dh, c
+    return p, p1, SDerivatives(half_diff - tilt, s12, half_diff + tilt)
 
 
 def bounce(spec: SupportSpec, phi, phi1):

@@ -31,8 +31,8 @@ from .supportfn import EllipseTable, ProfileTable, load_table, \
     symmetry_check, table_to_dict, validate_table
 
 
-# largest --grid, --n or --starts: a run at this size peaks near 2.0 GB
-# (beam-scan: 1.9 KB per start by tracemalloc, 16384 ellipse starts and
+# largest --grid, --n or --starts: a run at this size peaks near 1.8 GB
+# (beam-scan: 1.7 KB per start by tracemalloc, 16384 ellipse starts and
 # 40 steps), well inside an 8 GB machine
 MAX_POINTS = 2**20
 # smallest --grid or --n: the integral chain refuses fewer points, and on

@@ -164,11 +164,13 @@ def d_by_entry(profile, psi: np.ndarray) -> np.ndarray:
     """d(psi) of a 1-d array with the bits of the float jet at each entry,
     so an array of starts gets the bits of its one-start floats.  An
     AngleProfile takes one array jet: np.cos and np.sin agree with
-    math.cos and math.sin.  EllipseProfile goes entry by entry, because
-    its np.arccos and math.acos differ in the last bit on some entries."""
+    math.cos and math.sin.  EllipseProfile takes its A cos 2psi as one
+    array and math.acos entry by entry, because np.arccos and math.acos
+    differ in the last bit on some entries."""
     if isinstance(profile, AngleProfile):
         return profile.jet(psi)[0]
-    return np.array([profile.jet(s)[0] for s in psi.tolist()], dtype=float)
+    u = profile.amplitude * np.cos(2.0 * _reduce(psi))
+    return 0.5 * np.array(list(map(math.acos, u.tolist())), dtype=float)
 
 
 def validate_profile(profile) -> float:

@@ -286,11 +286,12 @@ def test_block_cost_is_bounded(mode6_table, mode6_profile, monkeypatch):
     # a block costs its slowest entry's Newton rounds, at most BLOCK_ROUNDS
     # bounce evaluations and one more at the roots, and each entry that
     # falls back adds its k steps as float solves, each a tenth of the
-    # cost of a one-entry array solve.  Eight of the 14 blocks of this
+    # cost of a one-entry array solve.  Eight of the 9 blocks of this
     # seed-2126 scan have an entry that falls back.  An entry that falls
     # back inside guesses each float solve from its last Newton iterate,
-    # which cut the table jets per solve from 6.04 (the first solve from
-    # its rolled guess, the later ones keeping delta) to 3.53
+    # which cut the table jets per solve, at blocks of 6, from 6.04 (the
+    # first solve from its rolled guess, the later ones keeping delta)
+    # to 3.53
     _, delta, p, phi = scan_starts(mode6_table, mode6_profile, 256,
                                    seed=2126)
     blocks = []
@@ -334,7 +335,8 @@ def test_block_cost_is_bounded(mode6_table, mode6_profile, monkeypatch):
         assert b["rounds"] <= BLOCK_ROUNDS + 1
         assert all(isinstance(s, float) for s in b["solves"])
         assert len(b["solves"]) % b["k"] == 0
-    # table jets per fallback solve: 3.53 over these 108
+    # table jets per fallback solve: 3.81 over these 360 (3.53 over 108
+    # at blocks of 6)
     solves = sum(len(b["solves"]) for b in blocks)
     assert sum(b["jets"] for b in blocks) / solves <= 4.0
 
@@ -343,7 +345,7 @@ def test_block_record_is_one_bounce_at_its_roots(mode6_table, mode6_profile,
                                                 monkeypatch):
     # a block's p1 and S-derivatives are one bounce at its own roots, bit
     # for bit, for the entries that fell back to float solves as for the
-    # rest.  Eight of the 14 blocks of this seed-2126 scan have an entry
+    # rest.  Eight of the 9 blocks of this seed-2126 scan have an entry
     # that falls back
     _, delta, p, phi = scan_starts(mode6_table, mode6_profile, 256,
                                    seed=2126)
@@ -371,7 +373,7 @@ def test_block_record_is_one_bounce_at_its_roots(mode6_table, mode6_profile,
     monkeypatch.setattr("billiards.beam._block_step", checked)
     monkeypatch.setattr("billiards.beam.forward_map_batch", counted_map)
     conjugate_scan(mode6_table, p, phi, 100, phi + 2.0 * delta)
-    assert sum(fell) == 8 and len(fell) == 14
+    assert sum(fell) == 8 and len(fell) == 9
 
 
 def test_detect_conjugate_found_on_mode6_table(mode6_table, mode6_profile):
@@ -665,6 +667,27 @@ def test_scan_keep_drops_every_field():
             == kept.roll(BLOCK_STEPS).tobytes())
 
 
+def test_blocks_hold_no_single_step_guess(ellipse21, ellipse21_profile,
+                                          monkeypatch):
+    # the single steps' guess 2 phi1 - phi is not made at the last of
+    # them, whose next step is a block with its own rolled guesses, so
+    # keep does not compact it at every later block
+    _, delta, p, phi = scan_starts(ellipse21, ellipse21_profile, 16,
+                                   seed=42)
+    rolls = []
+    roll = _Scan.roll
+
+    def checked(self, k):
+        rolls.append(self.guess)
+        return roll(self, k)
+
+    monkeypatch.setattr(_Scan, "roll", checked)
+    conjugate_scan(ellipse21, p, phi, RING + 3 * BLOCK_STEPS,
+                   phi + 2.0 * delta)
+    assert len(rolls) == 3
+    assert all(guess is None for guess in rolls)
+
+
 @pytest.mark.parametrize("table, profile", [
     ("mode6_table", "mode6_profile"), ("ellipse21", "ellipse21_profile"),
 ])
@@ -772,8 +795,9 @@ def test_fit_peak_memory_per_start():
 
 
 def test_scan_peak_memory_per_start(ellipse21, ellipse21_profile):
-    # the traced peak per start that cli.MAX_POINTS rests on (1.91 KB
-    # measured): the whole beam-scan, ring, fit and blocks included
+    # the traced peak per start that cli.MAX_POINTS rests on (1672 B
+    # measured; 1938 B before each block's arrays were dropped ahead of
+    # the next): the whole beam-scan, ring, fit and blocks included
     n = 4096
     _, delta, p, phi = scan_starts(ellipse21, ellipse21_profile, n, seed=42)
     conjugate_scan(ellipse21, p, phi, 40, phi + 2.0 * delta)
@@ -783,4 +807,4 @@ def test_scan_peak_memory_per_start(ellipse21, ellipse21_profile):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / n <= 2048.0
+    assert peak / n <= 1792.0
