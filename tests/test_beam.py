@@ -796,8 +796,9 @@ def test_fit_peak_memory_per_start():
 
 def test_scan_peak_memory_per_start(ellipse21, ellipse21_profile):
     # the traced peak per start that cli.MAX_POINTS rests on (1672 B
-    # measured; 1938 B before each block's arrays were dropped ahead of
-    # the next): the whole beam-scan, ring, fit and blocks included
+    # measured): the whole beam-scan, ring, fit and blocks included.  A
+    # scan that keeps a block's arrays through the next block fails it
+    # (1938 B at blocks of 6)
     n = 4096
     _, delta, p, phi = scan_starts(ellipse21, ellipse21_profile, n, seed=42)
     conjugate_scan(ellipse21, p, phi, 40, phi + 2.0 * delta)
