@@ -6,7 +6,7 @@ The package is imported from `DIR`, by default the `src/` of the checkout
 that holds this script, so one version of the script can digest two trees
 (say, `git archive` exports of a parent commit and of a change).
 For each table of the benchmark (`perfbench/workloads.py`), and for one
-Fourier table after them, it prints nine digests:
+Fourier table after them, it prints ten digests:
 
 - `starts`: the raw `psi`, `delta`, `p` and `phi` bytes of the 256
   `scan_starts` at seeds 42 and 7, the start lines of `beam-scan`; the
@@ -33,6 +33,10 @@ Fourier table after them, it prints nine digests:
   `verify_parallelogram` on the 64 array starts of `verify`'s Poncelet
   check, every vertex of the geometric oracle on arrays; `verify` itself
   prints only their worst residual.
+- `chart`: the float64 bytes of `perimeter`, of `arclength_of_psi` at
+  `psi` = -1, 0.5, 7.5 and 20, and of `chart_change_determinant` at
+  `(psi, delta)` = (0.4, 0.9) and (2.2, 1.7), all float calls. A
+  `SolverError` ends the stream as in `maps`.
 
 The Fourier table has no angle profile: its `verify` exits 1 with the
 no-profile entries of `poncelet` and `relations`, its `integral` exits 4,
@@ -74,6 +78,8 @@ LONG_ORBIT_ARGS = ("--psi0", "2.5", "--delta0", "0.5", "--steps", "2000")
 SCAN_ARGS = ("--max-steps", "500")
 VERIFY_SEEDS = (42, 7)
 PONCELET_STARTS = 64
+CHART_PSIS = (-1.0, 0.5, 7.5, 20.0)
+CHART_POINTS = ((0.4, 0.9), (2.2, 1.7))
 TABLES = {**TABLE_SPECS,
           "fourier": {"type": "fourier", "c0": 1.0,
                       "cos": [0.0, 0.1, 0.0, 0.02], "sin": [0.0, 0.03]}}
@@ -131,6 +137,30 @@ def poncelet_digest(spec) -> str:
     return digest.hexdigest()
 
 
+def chart_values(spec):
+    from billiards.billmap import BoundaryCoord, chart_change_determinant
+    from billiards.supportfn import arclength_of_psi, perimeter
+
+    yield perimeter(spec)
+    for psi in CHART_PSIS:
+        yield arclength_of_psi(spec, psi)
+    for point in CHART_POINTS:
+        yield chart_change_determinant(spec, BoundaryCoord(*point))
+
+
+def chart_digest(spec) -> str:
+    from billiards.errors import SolverError
+
+    digest = hashlib.sha256()
+    try:
+        for value in chart_values(spec):
+            digest.update(np.float64(value).tobytes())
+    except SolverError as exc:
+        digest.update(f"SolverError: {exc}".encode())
+        return f"{digest.hexdigest()} (SolverError: {exc})"
+    return digest.hexdigest()
+
+
 def cli_digest(*argvs: list[str]) -> str:
     """Digest of the exit codes and stdout bytes of `billiard` commands."""
     from billiards.cli import main as cli_main
@@ -177,6 +207,7 @@ def main(argv=None) -> int:
             print(f"{name:10s} scan      "
                   f"{cli_digest(['beam-scan', str(path), *SCAN_ARGS])}")
             print(f"{name:10s} poncelet  {poncelet_digest(spec)}")
+            print(f"{name:10s} chart     {chart_digest(spec)}")
     return 0
 
 

@@ -193,11 +193,6 @@ def boundary_point(spec: SupportSpec, psi):
     return _gamma(spec.jet(psi), psi, _xp(psi))
 
 
-def inside_cylinder(spec: SupportSpec, line: LineCoord) -> bool:
-    p, phi = line
-    return -spec.jet(phi + math.pi).h < p < spec.jet(phi).h
-
-
 def half_turn(line: LineCoord) -> LineCoord:
     """Point reflection of an oriented line through the origin."""
     return LineCoord(line.p, line.phi + math.pi)
@@ -306,7 +301,7 @@ def _solve_increasing(fdf, lo, hi, scale, guess=None, operands=()):
 
 
 def _check_inside(spec: SupportSpec, p: float, phi: float) -> None:
-    if not inside_cylinder(spec, LineCoord(p, phi)):
+    if not -spec.jet(phi + math.pi).h < p < spec.jet(phi).h:
         raise OutsideCylinder(f"line (p={p:.6g}, phi={phi:.6g}) misses the table")
 
 
@@ -479,9 +474,8 @@ def chart_change_determinant(spec: SupportSpec, bc: BoundaryCoord) -> float:
     change itself (expected 1).
     """
     psi, delta = float(bc.psi), float(bc.delta)
-
-    def cs(ps, de):
-        return np.cos(de), [arclength_of_psi(spec, s) for s in ps]
-
     return float(_fd_det(lambda ps, de: chart_to_line(spec, (ps, de)),
-                         psi, delta, 1e-5) / _fd_det(cs, psi, delta, 1e-5))
+                         psi, delta, 1e-5)
+                 / _fd_det(lambda ps, de: (np.cos(de),
+                                           arclength_of_psi(spec, ps)),
+                           psi, delta, 1e-5))

@@ -26,15 +26,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .billmap import BoundaryCoord, LineCoord, chart_to_line, oracle_orbit
-from .profiles import (AngleProfile, EllipseProfile, Profile, _xp,
-                       d_by_entry, ellipse_profile, profile_from_modes,
-                       validate_profile)
+from .profiles import _xp, d_by_entry, ellipse_profile
 from .supportfn import EllipseTable, ProfileTable, SupportSpec
 
 __all__ = [
-    "AngleProfile", "BeamState", "EllipseProfile", "Profile", "PonceletQuad",
-    "ellipse_profile", "profile_from_modes",
-    "validate_profile", "table_profile", "invariant_curve_state",
+    "BeamState", "PonceletQuad", "table_profile", "invariant_curve_state",
     "verify_parallelogram", "verify_rectangle", "verify_orthoptic",
     "verify_d_h_relations",
 ]

@@ -199,8 +199,8 @@ def validate_table(spec: SupportSpec, grid_n: int = VALIDATION_GRID) -> dict:
 
 
 def symmetry_check(spec: SupportSpec) -> tuple[float, bool]:
-    """(symmetry_defect, is_centrally_symmetric) from one pair of jets on
-    the VALIDATION_GRID."""
+    """(defect, is_centrally_symmetric) from one pair of jets on the
+    VALIDATION_GRID; the defect is max |h(psi + pi) - h(psi)|."""
     psi = np.linspace(0.0, 2.0 * math.pi, VALIDATION_GRID, endpoint=False)
     h = spec.jet(psi).h
     h_shift = spec.jet(psi + math.pi).h
@@ -208,22 +208,20 @@ def symmetry_check(spec: SupportSpec) -> tuple[float, bool]:
     return defect, defect <= 1e-9 * max(1.0, float(np.max(h)))
 
 
-def symmetry_defect(spec: SupportSpec) -> float:
-    """max |h(psi + pi) - h(psi)| over the VALIDATION_GRID."""
-    return symmetry_check(spec)[0]
-
-
 def is_centrally_symmetric(spec: SupportSpec) -> bool:
-    """symmetry_defect within 1e-9 max(1, max h) over the VALIDATION_GRID:
-    on a symmetric table the defect is rounding, which grows with h."""
+    """The symmetry defect within 1e-9 max(1, max h) over the
+    VALIDATION_GRID: on a symmetric table the defect is rounding, which
+    grows with h."""
     return symmetry_check(spec)[1]
 
 
-def arclength_of_psi(spec: SupportSpec, psi: float) -> float:
+def arclength_of_psi(spec: SupportSpec, psi):
     """s(psi) = integral of rho = h + h'' from 0 to psi = c0 psi + sum_k (a_k
-    sin k psi - b_k (cos k psi - 1)) / k + h'(psi) - h'(0), from the rfft c of
-    h on 64, 128, ... points until resolved; SolverError past ARCLENGTH_GRID."""
-    psi, n = float(psi), 64
+    sin k psi - b_k (cos k psi - 1)) / k + h'(psi) - h'(0), on a float or
+    entrywise on an array, from the rfft c of h on 64, 128, ... points until
+    resolved; SolverError past ARCLENGTH_GRID.  The series is built once per
+    call, and the sum over k takes len(psi) x n/2 temporaries."""
+    n = 64
     while True:
         jet = spec.jet(np.linspace(0.0, 2.0 * math.pi, n, endpoint=False))
         c, dc, rc = (np.fft.rfft(f) / n for f in (jet.h, jet.dh, jet.rho))
@@ -237,9 +235,10 @@ def arclength_of_psi(spec: SupportSpec, psi: float) -> float:
             raise SolverError(f"h has no converged Fourier series on {n} points")
         n *= 2
     c[1:-1] *= 2.0      # a_k - i b_k; the Nyquist term counts once
-    kt = k[1:] * _reduce(psi)       # the periodic terms; c0 psi stays lifted
+    k = k[1:]
+    kt = np.multiply.outer(_reduce(psi), k)     # periodic; c0 psi stays lifted
     terms = c[1:].real * np.sin(kt) + c[1:].imag * (np.cos(kt) - 1.0)
-    return (c[0].real * psi + float(np.sum(terms / k[1:]))
+    return (c[0].real * psi + np.sum(terms / k, axis=-1)
             + spec.jet(psi).dh - spec.jet(0.0).dh)
 
 

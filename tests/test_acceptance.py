@@ -18,9 +18,9 @@ from billiards.billmap import (LineCoord, forward_map, forward_map_batch,
                                s_derivatives)
 from billiards.cli import main
 from billiards.errors import CurvatureViolation
-from billiards.fourperiodic import (AngleProfile, ellipse_profile,
-                                    verify_d_h_relations, verify_orthoptic,
+from billiards.fourperiodic import (verify_d_h_relations, verify_orthoptic,
                                     verify_parallelogram, verify_rectangle)
+from billiards.profiles import AngleProfile, ellipse_profile
 from billiards.sampling import random_interior_lines, scan_starts
 from billiards.supportfn import (ProfileTable, ellipse_support,
                                  table_from_profile)

@@ -239,8 +239,8 @@ def test_conjugate_scan_fitted_guess_saves_jets(ellipse21, ellipse21_profile,
 def test_conjugate_scan_block_steps_save_jets(ellipse21, ellipse21_profile,
                                               monkeypatch):
     # after RING steps one Newton round advances every live start by
-    # BLOCK_STEPS bounces: 4.07 table jets per step with one solve per
-    # bounce, 1.05 with blocks of 6
+    # BLOCK_STEPS bounces: 4.99 table jets per step with blocks of one
+    # bounce, 1.165 with blocks of 6 and 0.829 with blocks of 10
     jets, detections = _warm_jets_per_step(ellipse21, ellipse21_profile,
                                            monkeypatch, 1000)
     assert np.all(detections < 0)
@@ -257,9 +257,9 @@ def test_block_roots_match_single_steps(table, profile, request,
     # line, started at the root, stays within C eps (1 + |p| + |phi| S12)
     # / S12, the error that rounding of the momenta and of phi itself
     # leaves in the root (largest near grazing, where S12 is small).  Over
-    # 300 seed-42 steps the blocks reach C = 18.2 on the ellipse and 14.4
-    # on mode-6; the solver re-solved from its own roots reaches 9.3 and
-    # 10.6
+    # 300 seed-42 steps blocks of 10 reach C = 17.7 on the ellipse and
+    # 11.4 on mode-6; the solver re-solved from its own roots reaches 9.3
+    # and 10.6
     spec = request.getfixturevalue(table)
     _, delta, p, phi = scan_starts(spec, request.getfixturevalue(profile),
                                    256, seed=42)

@@ -5,11 +5,10 @@ import pytest
 
 from billiards.billmap import BoundaryCoord, boundary_point, chart_to_line, \
     forward_map, half_turn
-from billiards.fourperiodic import (AngleProfile, ellipse_profile,
-                                    invariant_curve_state,
-                                    table_profile, validate_profile,
+from billiards.fourperiodic import (invariant_curve_state, table_profile,
                                     verify_d_h_relations, verify_orthoptic,
                                     verify_parallelogram, verify_rectangle)
+from billiards.profiles import AngleProfile, ellipse_profile, validate_profile
 from billiards.supportfn import FourierTable, table_from_profile
 
 

@@ -13,7 +13,7 @@ from scipy.integrate import quad
 from billiards import wirtinger
 from billiards.billmap import LineCoord, p_of, s_derivatives
 from billiards.errors import AliasingWarning, NoRealCaustic
-from billiards.fourperiodic import AngleProfile, ellipse_profile
+from billiards.profiles import AngleProfile, ellipse_profile
 from billiards.supportfn import ProfileTable, ellipse_support
 from billiards.wirtinger import (BLOCK, IntegralReport, PeriodicSamples,
                                  _exact_parts, _exact_sum,
