@@ -220,7 +220,10 @@ def arclength_of_psi(spec: SupportSpec, psi):
     sin k psi - b_k (cos k psi - 1)) / k + h'(psi) - h'(0), on a float or
     entrywise on an array, from the rfft c of h on 64, 128, ... points until
     resolved; SolverError past ARCLENGTH_GRID.  The series is built once per
-    call, and the sum over k takes len(psi) x n/2 temporaries."""
+    call, and the sum over k takes len(psi) x n/2 temporaries.  An array
+    call gives the float calls' bits, except on a ProfileTable over an
+    EllipseProfile, whose float and array d differ in the last bit at
+    some angles (math.acos against np.arccos)."""
     n = 64
     while True:
         jet = spec.jet(np.linspace(0.0, 2.0 * math.pi, n, endpoint=False))

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import defaultdict
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -80,10 +81,6 @@ class PeriodicSamples:
     @property
     def n(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def grid(self) -> np.ndarray:
-        return np.arange(self.n) * (self.period / self.n)
 
 
 def periodic_quadrature(samples: PeriodicSamples) -> float:
@@ -334,6 +331,17 @@ def _gap_from_mu(mu, R):
 # --- the full chain ------------------------------------------------------------
 
 
+# each stage after U, in the chain's order, and the fields it fills
+_STAGES = ((_u_parts_d, ("I_U1", "I_U2", "I_U3")),
+           (_v_parts_d, ("I_V1", "I_V2", "I_V3")),
+           (_w_parts_d, ("I_W1", "I_W2", "I_W3")), (_w_combined_d, ("I_W",)))
+
+
+def _conserved(residual: float, R: float) -> bool:
+    """A conservation residual within 1e-8 max(1, R^4)."""
+    return residual <= 1e-8 * max(1.0, R**4)
+
+
 @dataclass(frozen=True)
 class IntegralReport:
     """Quadrature values along the reduction chain and their residuals."""
@@ -366,10 +374,17 @@ class IntegralReport:
     stepwise_ok: bool
 
     def to_dict(self) -> dict:
-        data = asdict(self)
-        data["stepwise_UV"] = list(self.stepwise_UV)
-        data["stepwise_VW"] = list(self.stepwise_VW)
-        return data
+        return asdict(self)
+
+    def verdicts(self) -> tuple:
+        """(label, passed, residual) per check `billiard integral` prints."""
+        return (("int U == int P", self.identity_ok, self.residual_UP),
+                ("int U == int W", _conserved(self.residual_UW, self.R),
+                 self.residual_UW),
+                ("stepwise int Uj == int Vj == int Wj", self.stepwise_ok,
+                 max(self.stepwise_UV + self.stepwise_VW)),
+                ("wirtinger gap >= 0", self.I_P >= -1e-9 * self.R**4,
+                 self.I_P))
 
 
 def reduction_chain(profile, R: float, n: int = 1024, *,
@@ -392,14 +407,13 @@ def reduction_chain(profile, R: float, n: int = 1024, *,
     if require_convex:
         validate_table(table)
 
-    # per block every stage reads one profile jet and one _Trig record;
-    # each quadrature collects its exact parts, block by block: U, U1-U3,
-    # V1-V3, W1-W3, W, P, then U and P on the half grid (every other
-    # sample, the same chain at n/2; BLOCK is even).  A stage's samples
-    # are reduced as soon as they are computed, and the block is dropped
+    # per block every stage reads one profile jet and one _Trig record, and
+    # each quadrature collects its exact parts under its report field: U and
+    # P, also on the half grid (every other sample; BLOCK is even), then the
+    # _STAGES, each reduced as soon as it is computed.  A block is dropped
     # before the next one is taken
     mu = np.empty(n)
-    parts = [[] for _ in range(14)]
+    parts, half = defaultdict(list), defaultdict(list)
     for lo in range(0, n, BLOCK):
         hi = min(lo + BLOCK, n)
         d, dp, ddp = profile.jet(np.arange(lo, hi) * (math.pi / n))
@@ -407,54 +421,42 @@ def reduction_chain(profile, R: float, n: int = 1024, *,
         mu[lo:hi] = t.c2
         values = _u_from_sin(_support_jet_sc(R, t.s, t.c, dp, ddp), d,
                              t.s2, t.s4)
-        parts[0] += _exact_parts(values)
-        parts[12] += _exact_parts(values[::2])
+        parts["I_U_direct"] += _exact_parts(values)
+        half["I_U_direct"] += _exact_parts(values[::2])
         values = _p_from_mu(*_mu_from_sc(t.s2, t.c2, dp, ddp)[1:], R)
-        parts[11] += _exact_parts(values)
-        parts[13] += _exact_parts(values[::2])
-        for first, stage in ((1, _u_parts_d), (4, _v_parts_d),
-                             (7, _w_parts_d)):
-            for collected, values in zip(parts[first:first + 3],
-                                         stage(d, dp, ddp, R, t)):
-                collected += _exact_parts(values)
-        parts[10] += _exact_parts(_w_combined_d(d, dp, ddp, R, t))
+        parts["I_P"] += _exact_parts(values)
+        half["I_P"] += _exact_parts(values[::2])
+        for stage, fields in _STAGES:
+            values = stage(d, dp, ddp, R, t)
+            for field, values in zip(fields, values if len(fields) > 1
+                                     else (values,)):
+                parts[field] += _exact_parts(values)
         del d, dp, ddp, t, values
-    full = [(math.pi / n) * math.fsum(c) for c in parts[:12]]
+    integrals = {field: (math.pi / n) * math.fsum(c)
+                 for field, c in parts.items()}
     I_U_half, I_P_half = ((math.pi / (n // 2)) * math.fsum(c)
-                          for c in parts[12:])
-    I_U_direct, I_W_combined, I_P = full[0], full[10], full[11]
-    I_U, I_V, I_W = tuple(full[1:4]), tuple(full[4:7]), tuple(full[7:10])
-
-    mu_max = float(np.max(np.abs(mu)))
-    gap_fft = _gap_from_mu(mu, R)
-
-    integrals = (I_U_direct, *I_U, *I_V, *I_W, I_W_combined, I_P)
-    if not all(math.isfinite(v) for v in integrals):
+                          for c in half.values())
+    mu_max, gap_fft = float(np.max(np.abs(mu))), _gap_from_mu(mu, R)
+    if not all(math.isfinite(v) for v in integrals.values()):
         raise ValueError("non-finite integral in the reduction chain")
 
-    residual_UP = abs(I_U_direct - I_P)
-    residual_UW = abs(I_U_direct - I_W_combined)
+    I_U, I_V, I_W = ([integrals[field] for field in fields]
+                     for _, fields in _STAGES[:3])
+    I_U_direct, I_P = integrals["I_U_direct"], integrals["I_P"]
     stepwise_UV = tuple(abs(a - b) for a, b in zip(I_U, I_V))
     stepwise_VW = tuple(abs(a - b) for a, b in zip(I_V, I_W))
-    scale = R**4
-    identity_ok = residual_UP <= 1e-6 * (1.0 + abs(I_U_direct))
-    stepwise_ok = all(r <= 1e-8 * max(1.0, scale)
-                      for r in stepwise_UV + stepwise_VW)
-
     return IntegralReport(
-        n=n, R=R,
-        I_U_direct=I_U_direct,
-        I_U1=I_U[0], I_U2=I_U[1], I_U3=I_U[2],
-        I_U_parts=math.fsum(I_U),
-        I_V1=I_V[0], I_V2=I_V[1], I_V3=I_V[2],
-        I_W1=I_W[0], I_W2=I_W[1], I_W3=I_W[2],
-        I_W=I_W_combined, I_P=I_P,
+        n=n, R=R, **integrals, I_U_parts=math.fsum(I_U),
         wirtinger_gap=I_P, gap_spectral=gap_fft,
-        residual_UP=residual_UP, residual_UW=residual_UW,
+        residual_UP=abs(I_U_direct - I_P),
+        residual_UW=abs(I_U_direct - integrals["I_W"]),
         stepwise_UV=stepwise_UV, stepwise_VW=stepwise_VW,
         conv_delta_U=abs(I_U_direct - I_U_half),
         conv_delta_P=abs(I_P - I_P_half),
-        mu_max=mu_max, identity_ok=identity_ok, stepwise_ok=stepwise_ok)
+        mu_max=mu_max,
+        identity_ok=abs(I_U_direct - I_P) <= 1e-6 * (1.0 + abs(I_U_direct)),
+        stepwise_ok=all(_conserved(r, R)
+                        for r in stepwise_UV + stepwise_VW))
 
 
 # --- pointwise equality case on ellipses ---------------------------------------

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import struct
 import sys
 import tempfile
@@ -517,6 +518,40 @@ def test_integral_ellipse(ellipse_spec, tmp_path):
     assert report["identity_ok"] is True
     assert abs(report["I_P"]) <= 1e-8 * 25.0
     assert report["n"] == 256
+
+
+INTEGRAL_CHECKS = ("int U == int P", "int U == int W",
+                   "stepwise int Uj == int Vj == int Wj", "wirtinger gap >= 0")
+
+
+def integral_verdicts(err):
+    """(verdict, label) of each check line that integral prints."""
+    lines = [re.fullmatch(r"(PASS|FAIL)  (.+)  \(residual \S+\)", line)
+             for line in err.splitlines()]
+    assert all(lines), err
+    return [line.groups() for line in lines]
+
+
+@pytest.mark.parametrize("spec", ["ellipse_spec", "mode6_spec"])
+def test_integral_prints_four_passing_verdicts(spec, request, capsys):
+    assert main(["integral", request.getfixturevalue(spec), "--n", "256"]) == 0
+    assert integral_verdicts(capsys.readouterr().err) \
+        == [("PASS", label) for label in INTEGRAL_CHECKS]
+
+
+def test_integral_exits_1_on_failed_verdict(write_spec, capsys):
+    # 64 points under-resolve the chain on the (10,1) ellipse: U and P differ
+    # by 1.4e-6, U and W by 2.8e-2.  The report is still written
+    path = write_spec("ellipse101.json", {"type": "ellipse", "a": 10, "b": 1})
+    assert main(["integral", path, "--n", "64"]) == 1
+    captured = capsys.readouterr()
+    assert integral_verdicts(captured.err) \
+        == [("FAIL", label) for label in INTEGRAL_CHECKS[:3]] \
+        + [("PASS", INTEGRAL_CHECKS[3])]
+    report = json.loads(captured.out)
+    assert report["identity_ok"] is False
+    assert report["stepwise_ok"] is False
+    assert report["n"] == 64
 
 
 def test_integral_rejects_fourier_table(write_spec, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import re
@@ -328,6 +329,28 @@ def test_reduction_chain_zoo_conservation(profile_zoo):
         assert report.I_P >= -1e-9 * radius**4
         assert report.conv_delta_U <= 1e-8 * scale
         assert report.conv_delta_P <= 1e-8 * scale
+
+
+def test_verdicts_keep_the_integral_bounds(ellipse21_profile):
+    # U = W and the stepwise residuals within 1e-8 max(1, R^4), the gap
+    # down to -1e-9 R^4; each bound passes where it is met exactly
+    R = math.sqrt(5.0)
+    report = reduction_chain(ellipse21_profile, R, 256)
+    labels = ["int U == int P", "int U == int W",
+              "stepwise int Uj == int Vj == int Wj", "wirtinger gap >= 0"]
+    assert report.verdicts() == tuple(zip(labels, [True] * 4, [
+        report.residual_UP, report.residual_UW,
+        max(report.stepwise_UV + report.stepwise_VW), report.I_P]))
+    tol, floor = 1e-8 * R**4, -1e-9 * R**4
+    for residual_UW, I_P, passed in (
+            (tol, floor, [True, True]),
+            (math.nextafter(tol, 1.0), math.nextafter(floor, -1.0),
+             [False, False])):
+        changed = dataclasses.replace(report, residual_UW=residual_UW,
+                                      I_P=I_P, identity_ok=False,
+                                      stepwise_ok=False)
+        assert [ok for _, ok, _ in changed.verdicts()] \
+            == [False, passed[0], False, passed[1]]
 
 
 def test_reduction_chain_rejects_nonconvex_by_default():
