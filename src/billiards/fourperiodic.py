@@ -26,14 +26,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .billmap import BoundaryCoord, LineCoord, chart_to_line, oracle_orbit
-from .profiles import _xp, d_by_entry, ellipse_profile
+from .profiles import d_by_entry, ellipse_profile
 from .supportfn import EllipseTable, ProfileTable, SupportSpec
-
-__all__ = [
-    "BeamState", "PonceletQuad", "table_profile", "invariant_curve_state",
-    "verify_parallelogram", "verify_rectangle", "verify_orthoptic",
-    "verify_d_h_relations",
-]
 
 
 class BeamState(NamedTuple):
@@ -45,8 +39,10 @@ class BeamState(NamedTuple):
 
 @dataclass(frozen=True)
 class PonceletQuad:
-    """One launched 4-periodic orbit and its defect measurements; every
-    measured field holds floats, or arrays with one entry per start."""
+    """One launched 4-periodic orbit and its defect measurements.  On a
+    float start the vertices hold floats and the residuals numpy scalars
+    (np.float64, a float subclass, and an np.bool_ passed); on an array
+    of starts every field holds arrays with one entry per start."""
 
     points: tuple            # P0..P4 as (x, y); P4 is the return point
     psis: tuple              # normal angles at P0..P4 (lifted)
@@ -64,7 +60,7 @@ class PonceletQuad:
 
 
 def _worst(*residuals):
-    return functools.reduce(_xp(residuals[0]).maximum, residuals)
+    return functools.reduce(np.maximum, residuals)
 
 
 def table_profile(spec: SupportSpec):
@@ -90,23 +86,17 @@ def verify_parallelogram(spec: SupportSpec, profile, psi,
     all ~0 when {delta = d(psi)} really consists of 4-periodic orbits;
     `passed` compares the worst of them against tol.  One jet of h per
     vertex gives its point, which is also the oracle's chord start, and
-    its outgoing momentum (oracle_orbit).
+    its outgoing momentum (oracle_orbit).  The residuals are numpy's
+    on a float start too: math.hypot differs from np.hypot in the last
+    bit on some pairs, and np.hypot keeps every entry of an array launch
+    at the bits of its float launch.
     """
-    xp = _xp(psi)
-    if xp is np:
-        delta = d_by_entry(profile, psi)
-    else:
-        psi, delta = float(psi), float(profile.jet(psi)[0])
     psis, deltas, momenta, points = zip(
-        *islice(oracle_orbit(spec, psi, delta), 5))
-    # np.hypot on floats too: math.hypot differs from it in the last bit
-    # on some pairs, and a float launch keeps the residuals it reported
-    dist = np.hypot if xp is np else lambda x, y: float(np.hypot(x, y))
+        *islice(oracle_orbit(spec, psi, d_by_entry(profile, psi)), 5))
     (x0, y0), (x1, y1), (x2, y2), (x3, y3), (x4, y4) = points
-    closure = dist(x4 - x0, y4 - y0)
-    central = (dist(x2 + x0, y2 + y0), dist(x3 + x1, y3 + y1))
-    half = (xp.abs(psis[2] - psis[0] - math.pi),
-            xp.abs(psis[3] - psis[1] - math.pi))
+    closure = np.hypot(x4 - x0, y4 - y0)
+    central = (np.hypot(x2 + x0, y2 + y0), np.hypot(x3 + x1, y3 + y1))
+    half = (abs(psis[2] - psis[0] - math.pi), abs(psis[3] - psis[1] - math.pi))
     return PonceletQuad(points=points, psis=psis, deltas=deltas[:4],
                         momenta=momenta[:4],
                         closure=closure, central_symmetry=central,

@@ -31,7 +31,7 @@ MAX_HARMONIC = 2**20
 _FLOATS = types.ModuleType("floats", "numpy's names over math, for floats")
 vars(_FLOATS).update(
     sin=math.sin, cos=math.cos, sqrt=math.sqrt, arccos=math.acos,
-    hypot=math.hypot, abs=abs, maximum=max,
+    hypot=math.hypot, abs=abs,
     where=lambda cond, a, b: a if cond else b,
     all=bool, min=lambda x: x, max=lambda x: x, shape=lambda x: ())
 
@@ -160,14 +160,15 @@ def ellipse_profile(a: float, b: float) -> EllipseProfile:
     return EllipseProfile(float(a), float(b))
 
 
-def d_by_entry(profile, psi: np.ndarray) -> np.ndarray:
-    """d(psi) of a 1-d array with the bits of the float jet at each entry,
-    so an array of starts gets the bits of its one-start floats.  An
-    AngleProfile takes one array jet: np.cos and np.sin agree with
-    math.cos and math.sin.  EllipseProfile takes its A cos 2psi as one
-    array and math.acos entry by entry, because np.arccos and math.acos
-    differ in the last bit on some entries."""
-    if isinstance(profile, AngleProfile):
+def d_by_entry(profile, psi):
+    """d(psi) with the bits of the float jet: profile.jet(psi)[0] for a
+    float, and at each entry of a 1-d array, so an array of starts gets
+    the bits of its one-start floats.  An AngleProfile takes one array
+    jet: np.cos and np.sin agree with math.cos and math.sin.
+    EllipseProfile takes its A cos 2psi as one array and math.acos entry
+    by entry, because np.arccos and math.acos differ in the last bit on
+    some entries."""
+    if not isinstance(psi, np.ndarray) or isinstance(profile, AngleProfile):
         return profile.jet(psi)[0]
     u = profile.amplitude * np.cos(2.0 * _reduce(psi))
     return 0.5 * np.array(list(map(math.acos, u.tolist())), dtype=float)

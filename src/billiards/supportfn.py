@@ -109,8 +109,10 @@ class EllipseTable:
 class FourierTable:
     """Finite series h = c0 + sum_k (cos_k cos k psi + sin_k sin k psi).
 
-    Odd harmonics are allowed here for generality; operations that need
-    central symmetry run the symmetry validator at their point of use.
+    Odd harmonics are allowed here for generality.  Only `table validate`
+    checks central symmetry (symmetry_check): `verify` reports on an
+    asymmetric table, whose orthoptic check fails, and `orbit` and
+    `beam-scan` run on one.
     """
 
     c0: float

@@ -45,7 +45,7 @@ import numpy as np
 
 from .billmap import LineCoord, forward_map_batch
 from .errors import AliasingWarning, NoRealCaustic
-from .profiles import _xp, validate_profile
+from .profiles import validate_profile
 from .supportfn import ProfileTable, SupportSpec, _support_jet_sc, \
     ellipse_support, validate_table
 
@@ -153,11 +153,10 @@ def spectral_derivative(samples: PeriodicSamples, order: int) -> PeriodicSamples
 
 def integrand_inner(spec: SupportSpec, psi, delta):
     """Pointwise integrand on the phase region, before delta-integration."""
-    xp = _xp(delta)
     h, dh, ddh = spec.jet(psi)
     rho = h + ddh
-    c = xp.cos(delta)
-    s = xp.sin(delta)
+    c = np.cos(delta)
+    s = np.sin(delta)
     return (c * c * s * s * (ddh * h * h + 3.0 * h * dh * dh) * rho
             - s * s * h * dh * dh * rho)
 
@@ -169,8 +168,7 @@ def integrand_U(spec: SupportSpec, profile, psi):
     """
     jet = spec.jet(psi)
     d = profile.jet(psi)[0]
-    xp = _xp(d)
-    return _u_from_sin(jet, d, xp.sin(2.0 * d), xp.sin(4.0 * d))
+    return _u_from_sin(jet, d, np.sin(2.0 * d), np.sin(4.0 * d))
 
 
 def _u_from_sin(jet, d, s2, s4):
@@ -189,12 +187,11 @@ def split_U(profile, R: float, psi):
         U2 = -h (h + h'')(3 h'^2 + h h'') sin 4d / 32
         U3 = h (h + h'')(h h'' - h'^2) d / 8
     """
-    xp = _xp(psi)
     d = profile.jet(psi)[0]
     h, dh, ddh = ProfileTable(profile, R).jet(psi)
     rho = h + ddh
-    u1 = 0.25 * h * dh * dh * rho * xp.sin(2.0 * d)
-    u2 = -h * rho * (3.0 * dh * dh + h * ddh) * xp.sin(4.0 * d) / 32.0
+    u1 = 0.25 * h * dh * dh * rho * np.sin(2.0 * d)
+    u2 = -h * rho * (3.0 * dh * dh + h * ddh) * np.sin(4.0 * d) / 32.0
     u3 = 0.125 * h * rho * (h * ddh - dh * dh) * d
     return u1, u2, u3
 
@@ -269,8 +266,7 @@ def _w_combined_d(d, dp, ddp, R, t: _Trig):
 def mu_jet(profile, psi):
     """mu = cos 2d and its chain-rule derivatives at psi."""
     d, dp, ddp = profile.jet(psi)
-    xp = _xp(d)
-    return _mu_from_sc(xp.sin(2.0 * d), xp.cos(2.0 * d), dp, ddp)
+    return _mu_from_sc(np.sin(2.0 * d), np.cos(2.0 * d), dp, ddp)
 
 
 def _mu_from_sc(s2, mu, dp, ddp):

@@ -704,3 +704,16 @@ def test_only_billmap_reaches_its_internals(module):
                 and (node.module or "").split(".")[-1] == "billmap"
                 for alias in node.names}
     assert imported & _BILLMAP_INTERNALS <= _BILLMAP_SHARED.get(module, set())
+
+
+def test_only_the_engine_imports_the_dispatch():
+    # profiles._xp runs floats through math at stdlib speed: the table jets
+    # and the map need it, every other module runs plain numpy
+    modules = [path.stem for path in Path(billiards.__file__).parent.glob(
+        "*.py")]
+    users = {module for module in modules
+             for node in ast.walk(_module_tree(module))
+             if isinstance(node, ast.ImportFrom)
+             and (node.module or "").split(".")[-1] == "profiles"
+             and "_xp" in {alias.name for alias in node.names}}
+    assert users == {"billmap", "supportfn"}

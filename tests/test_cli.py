@@ -63,6 +63,19 @@ def test_validate_fourier_curvature_failure(write_spec, capsys):
     assert "rho-positivity: FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("data, line", [
+    ({"type": "fourier", "c0": 1, "cos": [1.5]},
+     "rho-positivity: FAIL (h reaches -0.5: origin not interior)"),
+    ({"type": "profile", "R": 1.0, "d_modes": [[2, 0.9, 0]]},
+     "mode-admissibility: FAIL (profile leaves (0, pi/2): min d = "),
+], ids=["origin-outside", "d-leaves-range"])
+def test_validate_prints_the_failed_check(write_spec, capsys, data, line):
+    path = write_spec("failing.json", data)
+    assert main(["table", "validate", path]) == 1
+    assert any(row.startswith(line)
+               for row in capsys.readouterr().out.splitlines())
+
+
 def test_validate_rejects_inadmissible_profile_modes(write_spec, capsys):
     for n in (3, 4):
         path = write_spec("badmode.json", {"type": "profile", "R": 1.0,
@@ -442,7 +455,7 @@ def test_oversized_run_is_usage_error(ellipse_spec, capsys, argv, message):
 def test_unwritable_out_is_usage_error(ellipse_spec, tmp_path, capsys, argv,
                                        target):
     # an --out that cannot be opened is one error line and exit 2, not a
-    # traceback; integral's check notes on stderr come before it
+    # traceback; it is checked with the options, before the command runs
     out = tmp_path / "missing" / "x.out" if target == "missing-directory" \
         else tmp_path
     assert main([argv[0], ellipse_spec, *argv[1:], "--out", str(out)]) == 2
@@ -732,8 +745,13 @@ def test_unparseable_spec_file_is_usage_error(tmp_path, capsys, content):
      "need n <= 1048576 and amplitudes within pi/2"),
     ({"type": "fourier", "c0": 1.0, "cos": [0.0, 0.9]},
      "rho = h + h'' reaches -1.7"),
+    # rho = 1 everywhere, but h = 1 + 1.5 cos psi leaves the origin outside
+    ({"type": "fourier", "c0": 1, "cos": [1.5]},
+     "h reaches -0.5: origin not interior"),
+    ({"type": "profile", "R": -1, "d_modes": []},
+     "radius must be positive, got -1.0"),
 ], ids=["subnormal-c0", "tiny-radius", "huge-harmonic", "huge-amplitude",
-        "non-convex"])
+        "non-convex", "origin-outside", "negative-radius"])
 @pytest.mark.parametrize("command, options", [
     (["verify"], ["--grid", "64"]),
     (["orbit"], ["--psi0", "0.3", "--delta0", "0.7", "--steps", "5"]),

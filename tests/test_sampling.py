@@ -120,6 +120,12 @@ def test_d_by_entry_is_the_float_jet(spec_name, request):
     want = np.array([profile.jet(s)[0] for s in psi.tolist()], dtype=float)
     assert d_by_entry(profile, psi).tobytes() == want.tobytes()
     assert d_by_entry(profile, psi[:0]).shape == (0,)
+    # a float start takes the float jet itself
+    for s in psi.tolist():
+        d = d_by_entry(profile, s)
+        assert type(d) is float
+        assert np.float64(d).tobytes() == np.float64(
+            profile.jet(s)[0]).tobytes()
     if spec_name == "ellipse21":
         # the array jet takes np.arccos, the float jet math.acos: they
         # disagree in the last bit on some entries

@@ -7,9 +7,10 @@ from scipy.integrate import quad
 
 from billiards.errors import CurvatureViolation, SolverError
 from billiards.profiles import AngleProfile, ellipse_profile
-from billiards.supportfn import (FourierTable, Jet2, arclength_of_psi,
-                                 ellipse_support, is_centrally_symmetric,
-                                 perimeter, symmetry_check, table_from_dict,
+from billiards.supportfn import (FourierTable, Jet2, ProfileTable,
+                                 arclength_of_psi, ellipse_support,
+                                 is_centrally_symmetric, perimeter,
+                                 symmetry_check, table_from_dict,
                                  table_from_profile, table_to_dict,
                                  validate_table)
 
@@ -258,6 +259,13 @@ def test_json_round_trip(tmp_path, mode6_table):
         again = table_from_dict(json.loads(path.read_text()))
         psi = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
         assert np.array_equal(again.jet(psi).h, spec.jet(psi).h)
+
+
+def test_ellipse_profile_table_has_no_dict():
+    # a closed-form profile has no mode list to write
+    with pytest.raises(ValueError, match="serialize the table as type "
+                                         "'ellipse'"):
+        table_to_dict(ProfileTable(ellipse_profile(2.0, 1.0), math.sqrt(5.0)))
 
 
 def test_unknown_table_type_rejected():
